@@ -13,8 +13,8 @@ guardable ``BENCH_*.json`` in the baseline directory (default:
 ``FRESH_DIR`` and checks them all in one invocation.
 
 A benchmark document is *guardable* when it carries a
-``geomean_speedup`` (optionally with per-family ``families`` speedups —
-``BENCH_batch.json``, ``BENCH_kernel.json``); when it only has
+``geomean_speedup`` (``BENCH_dist.json``), optionally with per-family
+``families`` speedups (``BENCH_kernel.json``); when it only has
 families, the geomean is computed from them. Documents with neither
 (e.g. ``BENCH_sweep.json``, ``BENCH_corpus.json``, which report raw
 phase timings) are skipped with a note — wall-clock seconds are not
@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 
 BASELINE_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
-DEFAULT_BASELINE = BASELINE_DIR / "BENCH_batch.json"
+DEFAULT_BASELINE = BASELINE_DIR / "BENCH_kernel.json"
 
 
 def extract(doc: dict):

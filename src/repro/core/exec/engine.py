@@ -81,11 +81,12 @@ _disk_cache_configured = False
 #: synthesis; this additionally memoizes disk loads.
 _trace_memo: Dict[Tuple[str, int, int], object] = {}
 
-#: In-process memo of batch plans (columnar derivations + predictor
-#: replay consumed by batched kernels), keyed by
+#: In-process memo of the *last* batch plan (columnar derivations +
+#: predictor replay consumed by compiled kernels), keyed by
 #: (workload, length, seed, PredictorGeometry). Chunk dispatch groups
-#: points by trace, so a warm worker amortizes one plan across every
-#: config of a geometry family, exactly like the trace memo.
+#: points by trace and orders them by predictor size, so consecutive
+#: points of one geometry family reuse the entry; older plans are
+#: reloaded from the disk cache on demand instead of accumulating here.
 _plan_memo: Dict[Tuple, object] = {}
 
 
@@ -270,51 +271,40 @@ def fetch_batch_plan(point: SweepPoint, trace):
     plan = _plan_memo.get(memo_key)
     if plan is not None:
         return plan
+    _plan_memo.clear()  # drop the old plan before materializing the next
     disk = get_disk_cache()
-    key = plan_key(point, geometry) if disk is not None else None
     if disk is not None:
+        key = plan_key(point, geometry)
         hit = disk.load_plan(key)
+        if hit is None and _remote_plan_fetcher is not None:
+            # Remote tier between the disk cache and a local build: adopt
+            # the fetched bytes into the disk cache, then load them
+            # through the normal (corruption-tolerant) path.
+            blob = _remote_plan_fetcher(key)
+            if blob and disk.adopt_plan(key, blob):
+                hit = disk.load_plan(key)
         if hit is not None:
-            arrays, _meta = hit
             try:
-                plan = BatchPlan.from_payload(geometry, arrays)
+                plan = BatchPlan.from_payload(geometry, hit[0])
             except Exception:
                 plan = None  # missing columns: rebuild below
-        if plan is not None and len(plan.line_ix) == len(trace):
-            _plan_memo[memo_key] = plan
-            return plan
-        plan = None
-    if disk is not None and _remote_plan_fetcher is not None:
-        # Remote tier between the disk cache and a local build: adopt
-        # the fetched bytes into the disk cache, then load through the
-        # normal (corruption-tolerant) path.
-        blob = _remote_plan_fetcher(key)
-        if blob and disk.adopt_plan(key, blob):
-            hit = disk.load_plan(key)
-            if hit is not None:
-                arrays, _meta = hit
-                try:
-                    plan = BatchPlan.from_payload(geometry, arrays)
-                except Exception:
-                    plan = None
-            if plan is not None and len(plan.line_ix) == len(trace):
-                _plan_memo[memo_key] = plan
-                return plan
-            plan = None
-    plan = build_batch_plan(trace, geometry)
-    if disk is not None:
-        source = "synth"
-        if point.workload.startswith(CORPUS_PREFIX):
-            spec = _corpus_resolve().corpus_point_spec(point.workload)
-            source = spec["content"]
-        meta = {
-            "workload": point.workload,
-            "length": point.length,
-            "seed": point.seed,
-            "geometry": geometry.key_fields(),
-            "source": source,
-        }
-        disk.store_plan(key, plan.payload(), meta)
+            if plan is not None and len(plan.next_br) != len(trace):
+                plan = None
+    if plan is None:
+        plan = build_batch_plan(trace, geometry)
+        if disk is not None:
+            source = "synth"
+            if point.workload.startswith(CORPUS_PREFIX):
+                spec = _corpus_resolve().corpus_point_spec(point.workload)
+                source = spec["content"]
+            meta = {
+                "workload": point.workload,
+                "length": point.length,
+                "seed": point.seed,
+                "geometry": geometry.key_fields(),
+                "source": source,
+            }
+            disk.store_plan(key, plan.payload(), meta)
     _plan_memo[memo_key] = plan
     return plan
 
@@ -347,10 +337,9 @@ def execute_point(point: SweepPoint) -> SimResult:
         )
     sim = build_simulator(point.config, trace, probe=probe)
     bplan = None
-    if sim.kernel_engine() == "batched":
-        # Batched points consume the shared per-(trace, geometry) plan;
-        # the plan fetch is memoized, so a warm worker builds it once
-        # for every config of the family.
+    if sim.kernel_engine() == "compiled":
+        # Compiled points consume the shared per-(trace, geometry) plan,
+        # fetched once for every consecutive config of the family.
         bplan = fetch_batch_plan(point, trace)
     result = sim.run(warmup=point.warmup, batch_plan=bplan)
     if disk is not None:
@@ -514,10 +503,10 @@ def _chunk_pairs(
     Points are bucketed by (workload, length, seed) so a worker reuses
     one synthesized trace across its whole chunk; within a bucket they
     are ordered by predictor size so configs sharing a batch-plan
-    geometry land adjacent (one plan build serves the run of them when
-    the batched engine is active); chunks are bounded so the pool stays
-    load-balanced even when one workload dominates. *batch* overrides
-    the load-balancing bound with an explicit chunk size.
+    geometry land adjacent (one plan fetch serves the run of them);
+    chunks are bounded so the pool stays load-balanced even when one
+    workload dominates. *batch* overrides the load-balancing bound with
+    an explicit chunk size.
     """
     order = sorted(
         range(len(pairs)),

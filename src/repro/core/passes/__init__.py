@@ -10,7 +10,7 @@ tick — except the "tick" here is the whole cycle loop:
    into a :class:`~repro.core.passes.dag.KernelPlan`: the component DAG
    (PC-gen/BTB access, FTQ push, FDIP prefetch, fetch, backend admit,
    d-side memory, obs probe) with dead components marked, plus every
-   structural constant (masks, latencies, fold geometry) hoisted out of
+   structural constant (masks, latencies, table sizes) hoisted out of
    the hardware objects the config would build.
 2. :class:`~repro.core.passes.schedule.SchedulePass` topologically
    sorts the live components into the static per-cycle order.
@@ -22,11 +22,13 @@ tick — except the "tick" here is the whole cycle loop:
    caches the kernel by config content-hash.
 
 The compiled kernel *reuses the reference hardware state objects*
-(BTB stores, predictor tables, caches) and only inlines their hot
-paths; rare mutations (allocate, L2 promote, split, pull) call the
-reference methods on the same objects, so results are bit-identical to
-the interpreter by construction — and the differential golden tests
-(tests/kernel/) verify it.
+(BTB stores, caches, backend rings) and only inlines their hot paths;
+rare mutations (allocate, L2 promote, split, pull) call the reference
+methods on the same objects. Branch prediction is read from a shared
+:class:`~repro.trace.columnar.BatchPlan` (the predictors train on trace
+outcomes only), so results are bit-identical to the interpreter by
+construction — and the differential golden tests (tests/kernel/) verify
+it.
 """
 
 from repro.core.passes.dag import GenDAGPass, KernelPlan

@@ -9,18 +9,38 @@ generation time:
 * the probe, the L2 BTB level (ideal configs), the R-BTB overflow pool,
   the d-side memory (ideal backend) and other dead components emit no
   code at all;
-* the hashed perceptron, folded-history updates and the per-kind BTB
-  scan are fully unrolled/inlined.
+* the per-kind BTB scan is fully inlined.
+
+Prediction comes from a shared :class:`~repro.trace.columnar.BatchPlan`
+instead of a per-config predictor replay. ``PredictionEngine.resolve``
+trains on trace outcomes only, never on BTB state, so the perceptron
+direction, RAS match and indirect-table read of every branch are the
+same for every config of one predictor geometry: the plan records them
+once per (trace, geometry) and each kernel reads them by instruction
+index. The plan's derived arrays also drive two loop shortcuts that
+consume exactly the instructions the reference loops consume:
+
+* **non-branch gap skipping**: scan loops jump over runs of non-branch
+  instructions via ``next_br`` instead of testing ``btype`` per
+  instruction;
+* **line-run segmentation**: FTQ segmentation jumps from cache-line run
+  boundary to boundary via ``run_end`` instead of comparing per-PC line
+  indices.
 
 Bit-identity strategy: the kernel operates on the *same hardware state
-objects* the interpreter would use (``sim.btb``, ``sim.engine``,
-``sim.memory``, ``sim.backend``). Hot paths are inlined against their
-internals (set-dicts, weight tables, ring buffers); rare paths
-(allocate, L2 promote, split/pull, cache miss) call the reference
-methods on those objects. Inlined fast paths are written so that a
-fall-through to the reference method re-executes only side-effect-free
-probes (a failed ``dict.get`` has no LRU effect), which keeps LRU tick
-sequencing and replacement decisions identical to the interpreter.
+objects* the interpreter would use (``sim.btb``, ``sim.memory``,
+``sim.backend``). Hot paths are inlined against their internals
+(set-dicts, ring buffers); rare paths (allocate, L2 promote, split/pull,
+cache miss) call the reference methods on those objects. Inlined fast
+paths are written so that a fall-through to the reference method
+re-executes only side-effect-free probes (a failed ``dict.get`` has no
+LRU effect), which keeps LRU tick sequencing and replacement decisions
+identical to the interpreter.
+
+One observable difference (docs/compiled_kernels.md): the kernel never
+touches the live predictor *objects* (their evolution lives in the
+plan), so post-run inspection of ``sim.engine.perceptron`` etc. sees
+cold state. ``SimResult`` is bit-identical.
 """
 
 from __future__ import annotations
@@ -30,9 +50,6 @@ from typing import List, Optional
 from repro.core.passes.dag import KernelPlan
 from repro.core.passes.schedule import Schedule
 
-MASK64 = (1 << 64) - 1
-_HASH_K = 0x9E3779B97F4A7C15
-_HASH_MUL = 0xBF58476D1CE4E5B9
 
 #: (local suffix, stats counter name), in writeback order. The measured
 #: dict includes a key iff its end-of-run total is > 0, matching the
@@ -107,6 +124,7 @@ def _ring_index(expr: str, size: int) -> str:
     return f"{expr} % {size}"
 
 
+
 class CodegenPass:
     """Generate the specialized run-function source for one plan."""
 
@@ -119,7 +137,7 @@ class CodegenPass:
         if plan.elided:
             w.line(f"# elided components: {', '.join(plan.elided)}")
         w.line()
-        with w.block("def kernel_run(sim, warmup, sample_structure):"):
+        with w.block("def kernel_run(sim, bplan, warmup, sample_structure):"):
             self._emit_prelude(w)
             with w.block("while admitted < n:"):
                 for comp in schedule.emitted:
@@ -148,30 +166,29 @@ class CodegenPass:
             "loads_col = tr.is_load",
             "stores_col = tr.is_store",
             "maddrs = tr.maddr",
-            "line_ix = tr.line_index()",
             "btb = sim.btb",
             "engine = sim.engine",
             "st = engine.stats",
         )
-        # Engine internals. The geometry asserts catch a Simulator wired
+        # Shared batch plan. The geometry guard catches a plan built for
+        # a different predictor family; the length guard catches a plan
+        # built from a different trace slice.
+        w.lines(
+            "pg = bplan.geometry",
+            f"if (pg.ptable_mask != {p.ptable_mask} or pg.theta != {p.theta}"
+            f" or pg.ind_mask != {p.ind_mask}"
+            f" or pg.ras_depth != {p.ras_depth}):",
+            "    raise RuntimeError(\"compiled kernel/plan mismatch: geometry\")",
+            "next_br = bplan.next_br",
+            "if len(next_br) != n:",
+            "    raise RuntimeError(\"compiled kernel/plan mismatch: trace length\")",
+            "run_end = bplan.run_end",
+            "pt_plan = bplan.pt",
+            "rasok_plan = bplan.ras_ok",
+            "ind_plan = bplan.ind_pred",
+        )
+        # BTB internals. The geometry asserts catch a Simulator wired
         # with hardware that does not match its declared config.
-        w.lines(
-            "perc = engine.perceptron",
-            f"if perc.table_entries != {p.ptable_mask + 1}:",
-            "    raise RuntimeError(\"compiled kernel/config mismatch: perceptron\")",
-        )
-        for t in range(16):
-            w.line(f"ptab{t} = perc.tables[{t}]")
-        w.lines("hist = engine.history", "hbits = hist.bits", "ind = engine.indirect")
-        for fs in p.folds:
-            w.line(f"{fs.local} = {fs.attr_path}.value")
-        w.lines(
-            "itab = ind._targets",
-            f"if len(itab) != {p.ind_mask + 1}:",
-            "    raise RuntimeError(\"compiled kernel/config mismatch: indirect\")",
-            "ras = engine.ras._stack",
-        )
-        # BTB internals.
         w.lines(
             "store = btb.store",
             "l1arr = store.l1",
@@ -192,7 +209,7 @@ class CodegenPass:
             w.line("bb_train = btb._train_branch")
         elif kind == "mbbtb":
             w.lines("mb_train = btb._train_branch", "mb_update = btb._update_slot")
-        # Memory internals (always present in compiled runs).
+        # Memory internals.
         w.lines(
             "mem = sim.memory",
             "itlb_arr = mem.itlb.array",
@@ -233,7 +250,6 @@ class CodegenPass:
                 f" or len(fq_ring) != {p.bk_fq} or len(load_ring) != {p.bk_load_ports}"
                 f" or len(store_ring) != {p.bk_store_ports}):",
                 "    raise RuntimeError(\"compiled kernel/config mismatch: backend\")",
-                # d-side memory (live only with the OoO backend)
                 "dtlb_arr = mem.dtlb.array",
                 "dtlb_sets = dtlb_arr._sets",
                 "dtlb_translate = mem.dtlb.translate",
@@ -262,7 +278,6 @@ class CodegenPass:
             "line_avail_touch = line_avail.move_to_end",
             "line_avail_evict = line_avail.popitem",
             "pending_events = {}",
-            f"HM = (1 << 256) - 1",
             "cycle = 0",
             "i_pcgen = 0",
             "admitted = 0",
@@ -285,23 +300,6 @@ class CodegenPass:
 
     # -- shared emitters --------------------------------------------------
 
-    def _emit_hash(self, w: _Writer, out: str, value_expr: str) -> None:
-        """Inline mix_hash for a single value."""
-        w.line(f"{out} = ({_HASH_K} ^ {value_expr} & {MASK64}) * {_HASH_MUL} & {MASK64}")
-        w.line(f"{out} ^= {out} >> 29")
-
-    def _emit_history_push(self, w: _Writer, bit: str) -> None:
-        """Unrolled GlobalHistory.push for all registered folds."""
-        for fs in self.plan.folds:
-            wm = (1 << fs.width) - 1
-            w.line(
-                f"v = (({fs.local} << 1) | {bit}) ^ "
-                f"(((hbits >> {fs.length - 1}) & 1) << {fs.out_pos})"
-            )
-            w.line(f"v ^= v >> {fs.width}")
-            w.line(f"{fs.local} = v & {wm}")
-        w.line(f"hbits = ((hbits << 1) | {bit}) & HM")
-
     def _emit_note_btb(self, w: _Writer, lvl_expr: str) -> None:
         """Inline PredictionEngine.note_btb (taken branches only)."""
         with w.block("if taken:"):
@@ -312,54 +310,22 @@ class CodegenPass:
                 with w.block(f"elif {lvl_expr} == 2:"):
                     w.line("c_l2h += 1")
 
-    def _emit_ras_push(self, w: _Writer) -> None:
-        w.line(f"if len(ras) >= {self.plan.ras_depth}:")
-        w.line("    del ras[0]")
-        w.line("ras.append(pc + 4)")
-
     def _emit_resolve(self, w: _Writer) -> None:
-        """Inline PredictionEngine.resolve.
+        """Plan-consuming PredictionEngine.resolve.
 
-        Inputs: pc, bt, taken, target, known, slot. Output: res with
-        0=seq, 1=redirect, 2=misfetch, 3=mispredict.
+        Inputs: j, bt, taken, target, known, slot. Output: res with
+        0=seq, 1=redirect, 2=misfetch, 3=mispredict. The perceptron
+        direction, RAS match and indirect-table read come from the shared
+        plan; all predictor *training* was done once at plan-build time.
+        The only per-config piece left is the BTB-fallback indirect
+        prediction (``predicted == 0 and known``) — it reads this
+        config's slot.
         """
-        p = self.plan
-        pm = p.ptable_mask
         w.line("c_dbr += 1")
         with w.block("if taken:"):
             w.line("c_dtk += 1")
         with w.block("if bt == 1:"):  # COND_DIRECT
-            # perceptron.predict — one fused expression: no index locals
-            # on the (hot) no-train path; the train arm recomputes each
-            # index from h and the fold locals, which are unchanged until
-            # the history push below.
-            self._emit_hash(w, "h", "pc")
-            index = [f"h & {pm}"]
-            index += [f"(h ^ pf{t} ^ {t << 3}) & {pm}" for t in range(1, 16)]
-            w.line(
-                "total = "
-                + " + ".join(f"ptab{t}[{ix}]" for t, ix in enumerate(index))
-            )
-            w.line("pt = total >= 0")
-            # perceptron.update (skip iff pt == taken and abs(total) > theta)
-            with w.block(
-                f"if pt != taken or ({-p.theta} <= total <= {p.theta}):"
-            ):
-                with w.block("if taken:"):
-                    for t, ix in enumerate(index):
-                        w.line(f"i = {ix}")
-                        w.line(f"wt = ptab{t}[i] + 1")
-                        w.line("if wt < 128:")
-                        w.line(f"    ptab{t}[i] = wt")
-                with w.block("else:"):
-                    for t, ix in enumerate(index):
-                        w.line(f"i = {ix}")
-                        w.line(f"wt = ptab{t}[i] - 1")
-                        w.line("if wt > -129:")
-                        w.line(f"    ptab{t}[i] = wt")
-            # history.push(taken)
-            w.line("hb = 1 if taken else 0")
-            self._emit_history_push(w, "hb")
+            w.line("pt = pt_plan[j] == 1")
             with w.block("if not known:"):
                 with w.block("if taken:"):
                     w.lines("c_mp += 1", "c_mpcu += 1", "res = 3")
@@ -370,35 +336,23 @@ class CodegenPass:
             with w.block("else:"):
                 w.line("res = 1 if taken else 0")
         with w.block("else:"):
-            # All remaining types are unconditionally taken.
-            self._emit_history_push(w, "1")
-            with w.block("if bt == 2 or bt == 3:"):  # UNCOND_DIRECT / CALL_DIRECT
-                with w.block("if bt == 3:"):
-                    self._emit_ras_push(w)
+            with w.block("if bt == 2 or bt == 3:"):  # UNCOND/CALL_DIRECT
                 with w.block("if known:"):
                     w.line("res = 1")
                 with w.block("else:"):
                     w.lines("c_mf += 1", "res = 2")
             with w.block("elif bt == 4:"):  # RETURN
-                with w.block("if ras:"):
-                    w.line("ras_ok = ras.pop() == target")
+                with w.block("if rasok_plan[j]:"):
+                    with w.block("if known:"):
+                        w.line("res = 1")
+                    with w.block("else:"):
+                        w.lines("c_mf += 1", "res = 2")
                 with w.block("else:"):
-                    w.line("ras_ok = False")
-                with w.block("if not ras_ok:"):
                     w.lines("c_mp += 1", "c_mpr += 1", "res = 3")
-                with w.block("elif known:"):
-                    w.line("res = 1")
-                with w.block("else:"):
-                    w.lines("c_mf += 1", "res = 2")
             with w.block("else:"):  # INDIRECT / CALL_INDIRECT
-                self._emit_hash(w, "h2", "pc")
-                w.line(f"ii = (h2 ^ jf) & {p.ind_mask}")
-                w.line("predicted = itab[ii]")
+                w.line("predicted = ind_plan[j]")
                 with w.block("if predicted == 0 and known:"):
                     w.line("predicted = slot.target")
-                w.line("itab[ii] = target")
-                with w.block("if bt == 6:"):
-                    self._emit_ras_push(w)
                 with w.block("if not known:"):
                     w.lines("c_mp += 1", "c_mpiu += 1", "res = 3")
                 with w.block("elif predicted != target:"):
@@ -508,6 +462,31 @@ class CodegenPass:
         with w.block("if bt == 5 or bt == 6:"):
             w.line("bubbles += 1")
 
+    # -- scan loops with next_br gap skipping -----------------------------
+
+    def _emit_gap_skip(self, w: _Writer, room_expr: str) -> None:
+        """Jump over a run of non-branch instructions in one step.
+
+        Emitted at the top of a scan loop body, after ``j`` is computed
+        and bounds-checked. ``room_expr`` is the number of instructions
+        the enclosing loop could still consume (fetch-width or
+        region/block span). Consumes exactly the instructions the
+        reference one-at-a-time loop would: each non-branch advances
+        ``pc`` by 4 and ``count`` by 1, capped by the room; ``continue``
+        re-checks the loop condition so natural-exit ``else`` clauses
+        (bbtb/mbbtb split bubbles) still fire.
+        """
+        w.line("nb = next_br[j]")
+        with w.block("if nb > j:"):
+            w.line("gap = nb - j")
+            w.line(f"room = {room_expr}")
+            with w.block("if gap >= room:"):
+                w.lines("pc += room << 2", "count += room", "continue")
+            w.lines("pc += gap << 2", "count += gap")
+            with w.block("if nb >= n:"):
+                w.line("continue")
+            w.line("j = nb")
+
     def _emit_scan_ibtb(self, w: _Writer) -> None:
         cfg = self.plan.config
         w.line("pc = pcs[i_pcgen]")
@@ -515,10 +494,9 @@ class CodegenPass:
             w.line("j = i_pcgen + count")
             with w.block("if j >= n:"):
                 w.line("break")
+            self._emit_gap_skip(w, f"{cfg.width} - count")
             w.line("bt = btypes[j]")
             w.line("count += 1")
-            with w.block("if bt == 0:"):
-                w.lines("pc += 4", "continue")
             self._emit_store_lookup(w, "pc")
             w.line("slot = entry")
             w.lines("known = slot is not None", "taken = takens[j] == 1", "target = targets[j]")
@@ -551,7 +529,6 @@ class CodegenPass:
             w.line("done = False")
             outer = w.block("for _rno in range(2):")
             outer.__enter__()
-        # pc & -region_bytes == pc & ~(region_bytes - 1)
         w.line(f"region = pc & -{rb}")
         if interleaved:
             with w.block("if _rno:"):
@@ -566,10 +543,9 @@ class CodegenPass:
                 if interleaved:
                     w.line("done = True")
                 w.line("break")
+            self._emit_gap_skip(w, "(region_end - pc) >> 2")
             w.line("bt = btypes[j]")
             w.line("count += 1")
-            with w.block("if bt == 0:"):
-                w.lines("pc += 4", "continue")
             w.lines("slot = None", "from_overflow = False")
             with w.block("if entry is not None:"):
                 w.line("spos = 0")
@@ -639,10 +615,9 @@ class CodegenPass:
             w.line("j = i_pcgen + count")
             with w.block("if j >= n:"):
                 w.line("break")
+            self._emit_gap_skip(w, "(end_pc - pc) >> 2")
             w.line("bt = btypes[j]")
             w.line("count += 1")
-            with w.block("if bt == 0:"):
-                w.lines("pc += 4", "continue")
             w.line("slot = None")
             with w.block("if entry is not None:"):
                 w.line("spos = 0")
@@ -689,10 +664,9 @@ class CodegenPass:
             w.line("j = i_pcgen + count")
             with w.block("if j >= n:"):
                 w.line("break")
+            self._emit_gap_skip(w, "(end_pc - pc) >> 2")
             w.line("bt = btypes[j]")
             w.line("count += 1")
-            with w.block("if bt == 0:"):
-                w.lines("pc += 4", "continue")
             w.line("slot = None")
             with w.block("if entry is not None:"):
                 with w.block("for s_ in entry.slots:"):
@@ -715,8 +689,6 @@ class CodegenPass:
             with w.block("else:"):
                 with w.block("if slot is not None:"):
                     if cfg.immediate_downgrade:
-                        # A follow slot downgrades via the reference method
-                        # (truncate + follow clear + the stabl reset).
                         with w.block("if slot.follow:"):
                             w.line(
                                 "mb_train(entry, block_start, blk, pc, bt, False, target, slot)"
@@ -771,24 +743,24 @@ class CodegenPass:
             w.line("l1i_prefetch(la, cycle)")
 
     def emit_access_commit(self, w: _Writer) -> None:
-        """Consume one Access: stats, line segmentation, FTQ pushes,
-        FDIP prefetches and the pending-event / bubble bookkeeping."""
+        """Consume one Access: stats, line segmentation (jumping between
+        ``run_end`` boundaries), FTQ pushes, FDIP prefetches and the
+        pending-event / bubble bookkeeping."""
         with w.block("if count > 0:"):
             w.lines("c_acc += 1", "c_fpc += count", "c_bpa += blocks")
-            w.lines(
-                "seg_start = i_pcgen",
-                "seg_line = line_ix[seg_start]",
-                "seg_count = 1",
-            )
-            with w.block("for jj in range(i_pcgen + 1, i_pcgen + count):"):
-                w.line("line = line_ix[jj]")
-                with w.block("if line == seg_line:"):
-                    w.lines("seg_count += 1", "continue")
+            w.lines("seg_start = i_pcgen", "end_ = i_pcgen + count")
+            with w.block("while True:"):
+                w.line("seg_line = pcs[seg_start] >> 6")
+                w.line("re_ = run_end[seg_start]")
+                w.line("nxt = re_ if re_ < end_ else end_")
+                w.line("seg_count = nxt - seg_start")
+                with w.block("if nxt >= end_:"):
+                    w.line("break")
                 w.line(
                     "ftq_append([seg_line, seg_start, seg_count, cycle, 0 if ftq else 1])"
                 )
                 self._emit_fdip_prefetch(w, "seg_line")
-                w.lines("seg_start = jj", "seg_line = line", "seg_count = 1")
+                w.line("seg_start = nxt")
             w.line(
                 "ftq_append([seg_line, seg_start, seg_count, cycle, 0 if ftq else 1])"
             )
@@ -1063,12 +1035,10 @@ class CodegenPass:
     # -- finalization ------------------------------------------------------
 
     def _emit_finalize(self, w: _Writer) -> None:
+        """Write backend state back and build the SimResult. There is no
+        live predictor state to write back: the plan owns that evolution
+        and the engine's predictor objects are never touched."""
         p = self.plan
-        # Write live predictor/backend state back onto the objects so a
-        # post-run inspection sees exactly what the interpreter leaves.
-        w.line("hist.bits = hbits")
-        for fs in p.folds:
-            w.line(f"{fs.attr_path}.value = {fs.local}")
         w.line("backend._last_commit = last_commit")
         if not p.ideal_backend:
             w.lines(
@@ -1091,6 +1061,8 @@ class CodegenPass:
             if p.has_l2:
                 w.line('structure["l2_slot_occupancy"] = btb.slot_occupancy(2)')
                 w.line('structure["l2_redundancy"] = btb.redundancy_ratio(2)')
+        # Division-by-zero guard: a warmup-only window would leave
+        # cyc == 0; clamp exactly as the interpreter does.
         w.line("cyc = last_commit - warm_commit")
         with w.block("if cyc < 1:"):
             w.line("cyc = 1")

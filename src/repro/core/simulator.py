@@ -136,19 +136,14 @@ class Simulator:
         self.config = config
 
     def kernel_engine(self) -> str:
-        """Engine :meth:`run` will use: ``"batched"``, ``"compiled"`` or
-        ``"interp"``.
+        """Engine :meth:`run` will use: ``"compiled"`` or ``"interp"``.
 
-        The compiled/batched engines need the elaborating config (for
-        the pass pipeline), an uninstrumented run (probe call sites are
-        elided, not guarded), the stock frontend/backend/memory shapes,
-        and a fresh stats bag (the interpreter's warm-snapshot
-        subtraction and the kernel's local counters only agree from
-        zero). Anything else falls back to the reference interpreter —
-        bit-identical, slower. ``"batched"`` additionally requires the
-        caller to hand :meth:`run` a shared
-        :class:`~repro.trace.columnar.BatchPlan`; without one, the run
-        degrades to the compiled per-config kernel (same results).
+        The compiled engine needs the elaborating config (for the pass
+        pipeline), an uninstrumented run (probe call sites are elided,
+        not guarded), the stock frontend/backend/memory shapes, and a
+        fresh stats bag (the interpreter's warm-snapshot subtraction and
+        the kernel's local counters only agree from zero). Anything else
+        falls back to the reference interpreter — bit-identical, slower.
         """
         # Imported lazily: repro.core.passes.dag imports this module.
         from repro.core.passes.kernel import kernel_mode, supports
@@ -179,24 +174,25 @@ class Simulator:
     ) -> SimResult:
         """Simulate the whole trace; measure after *warmup* instructions.
 
-        Dispatches to the batched kernel when eligible and a shared
-        *batch_plan* was provided, else to the per-config compiled
-        kernel when eligible (see :meth:`kernel_engine`), else to the
-        reference interpreter below. All engines produce bit-identical
-        :class:`SimResult`s.
+        Dispatches to the compiled kernel when eligible (see
+        :meth:`kernel_engine`), else to the reference interpreter below;
+        both produce bit-identical :class:`SimResult`s. The kernel reads
+        its predictions from *batch_plan*, a
+        :class:`~repro.trace.columnar.BatchPlan` shared by every config
+        of one predictor geometry; without one, the run builds its own.
         """
-        engine = self.kernel_engine()
-        if engine == "batched" and batch_plan is not None:
-            from repro.core.passes.kernel import get_batch_kernel
+        if self.kernel_engine() == "interp":
+            return self._run_interp(warmup, sample_structure)
+        from repro.core.passes.kernel import batch_geometry, get_kernel
 
-            return get_batch_kernel(self.config).fn(
-                self, batch_plan, warmup, sample_structure
+        kernel = get_kernel(self.config)
+        if batch_plan is None:
+            from repro.trace.columnar import build_batch_plan
+
+            batch_plan = build_batch_plan(
+                self.trace, batch_geometry(self.config)
             )
-        if engine in ("compiled", "batched"):
-            from repro.core.passes.kernel import get_kernel
-
-            return get_kernel(self.config).fn(self, warmup, sample_structure)
-        return self._run_interp(warmup, sample_structure)
+        return kernel.fn(self, batch_plan, warmup, sample_structure)
 
     def _run_interp(
         self, warmup: int = 0, sample_structure: bool = True

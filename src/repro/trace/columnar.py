@@ -1,4 +1,4 @@
-"""Decode-once columnar trace plans for batched sweep execution.
+"""Decode-once columnar trace plans consumed by the compiled kernels.
 
 A sweep runs the *same* workload trace through many machine configs, yet
 every per-config engine walks the Python-object :class:`~repro.trace.trace.Trace`
@@ -20,8 +20,8 @@ This module pays those costs once per workload:
   - ``run_end[i]``: exclusive end of the cache-line run containing
     ``i``; replaces the per-instruction line-segmentation loop;
   - ``line_ix[i]``: per-instruction cache-line index
-    (``pc // LINE_BYTES``), shared across configs instead of being
-    recomputed per simulator via ``Trace.line_index``.
+    (``pc // LINE_BYTES``), the input of ``run_end``. Kernels shift a
+    segment's first PC to get its line, so plans do not carry it.
 
 * :class:`PredictorPlan` replays the prediction engine once and records,
   per branch, exactly the values a per-config kernel needs:
@@ -29,7 +29,7 @@ This module pays those costs once per workload:
   the return target) and ``ind_pred`` (raw indirect-table read, 0 when
   cold). The replica below mirrors ``PredictionEngine.resolve`` /
   ``HashedPerceptron`` / ``FoldedRegister`` operation-for-operation, so
-  batched kernels consuming the plan stay bit-identical to the
+  compiled kernels consuming the plan stay bit-identical to the
   interpreter (enforced by differential goldens in ``tests/kernel/``).
 
 Plans are cached on disk as ``.npz`` through the :class:`DiskCache`
@@ -53,7 +53,7 @@ from repro.common.types import ILEN, LINE_BYTES
 #: Version of the columnar/predictor-plan layout *and* of the replica
 #: semantics. Bump whenever the derivation or the prediction engine
 #: changes so stale cached plans become unreachable.
-COLUMNAR_SCHEMA = 1
+COLUMNAR_SCHEMA = 2
 
 _M64 = (1 << 64) - 1
 _HMASK = (1 << MAX_HISTORY) - 1
@@ -91,7 +91,6 @@ class ColumnarTrace:
         faster than numpy scalar indexing in CPython hot loops)."""
         if self._lists is None:
             self._lists = {
-                "line_ix": self.line_ix.tolist(),
                 "next_br": self.next_br.tolist(),
                 "run_end": self.run_end.tolist(),
             }
@@ -253,21 +252,21 @@ def build_predictor_plan(col: ColumnarTrace,
     itab = [0] * (ind_mask + 1)
     ras: List[int] = []
 
-    bts = col.btype.tolist()
-    pcs = col.pc.tolist()
-    tks = col.taken.tolist()
-    tgs = col.target.tolist()
-    branch_idx = np.nonzero(col.btype)[0].tolist()
+    branch_idx = np.nonzero(col.btype)[0]
+    branches = zip(
+        branch_idx.tolist(),
+        col.btype[branch_idx].tolist(),
+        col.pc[branch_idx].tolist(),
+        col.taken[branch_idx].tolist(),
+        col.target[branch_idx].tolist(),
+    )
     pwm = mask  # fold width mask equals table mask (same width)
     jwm = ind_mask
 
-    for j in branch_idx:
-        bt = bts[j]
-        pc = pcs[j]
+    for j, bt, pc, tk, tg in branches:
         h = ((0x9E3779B97F4A7C15 ^ pc) * 0xBF58476D1CE4E5B9) & _M64
         h ^= h >> 29
         if bt == 1:
-            tk = tks[j]
             # predict: table 0 unfolded, 1..15 folded.
             i0 = h & mask
             total = tables[0][i0]
@@ -324,12 +323,12 @@ def build_predictor_plan(col: ColumnarTrace,
                 ras.append(pc + ILEN)
         elif bt == 4:
             if ras:
-                ras_ok[j] = 1 if ras.pop() == tgs[j] else 0
+                ras_ok[j] = 1 if ras.pop() == tg else 0
             # empty RAS pops None in the reference engine: never equal.
         else:
             ii = (h ^ jfold) & ind_mask
             ind_pred[j] = itab[ii]
-            itab[ii] = tgs[j]
+            itab[ii] = tg
             if bt == 6:
                 if len(ras) >= ras_depth:
                     del ras[0]
@@ -340,29 +339,27 @@ def build_predictor_plan(col: ColumnarTrace,
 
 
 # ---------------------------------------------------------------------------
-# Batch plan: what a generated batched kernel binds in its prelude
+# Batch plan: what a compiled kernel binds in its prelude
 # ---------------------------------------------------------------------------
 
 
 class BatchPlan:
-    """Bundle handed to a batched kernel: the runtime arrays of a
+    """Bundle handed to a compiled kernel: the runtime arrays of a
     columnar trace + predictor plan, exposed as plain lists (list
     indexing beats numpy scalar indexing in CPython hot loops). Built
     once per (workload, geometry) and shared by every config in the
     batch; persistable as an ``.npz`` payload through the disk cache's
     ``plans`` tier."""
 
-    __slots__ = ("geometry", "line_ix", "next_br", "run_end",
-                 "pt", "ras_ok", "ind_pred")
+    __slots__ = ("geometry", "next_br", "run_end", "pt", "ras_ok",
+                 "ind_pred")
 
-    #: Arrays persisted per plan (everything a batched kernel reads).
-    PAYLOAD_KEYS = ("line_ix", "next_br", "run_end", "pt", "ras_ok",
-                    "ind_pred")
+    #: Arrays persisted per plan (everything a kernel reads from it).
+    PAYLOAD_KEYS = ("next_br", "run_end", "pt", "ras_ok", "ind_pred")
 
-    def __init__(self, geometry: PredictorGeometry, line_ix, next_br,
-                 run_end, pt, ras_ok, ind_pred) -> None:
+    def __init__(self, geometry: PredictorGeometry, next_br, run_end, pt,
+                 ras_ok, ind_pred) -> None:
         self.geometry = geometry
-        self.line_ix = line_ix
         self.next_br = next_br
         self.run_end = run_end
         self.pt = pt
@@ -374,8 +371,8 @@ class BatchPlan:
                    plan: PredictorPlan) -> "BatchPlan":
         cl = col.lists()
         pl = plan.lists()
-        return cls(plan.geometry, cl["line_ix"], cl["next_br"],
-                   cl["run_end"], pl["pt"], pl["ras_ok"], pl["ind_pred"])
+        return cls(plan.geometry, cl["next_br"], cl["run_end"], pl["pt"],
+                   pl["ras_ok"], pl["ind_pred"])
 
     @classmethod
     def from_payload(cls, geometry: PredictorGeometry,

@@ -1,11 +1,11 @@
-"""Engine integration of batched kernels, worker recycling and jobs=0.
+"""Engine integration of batch plans, worker recycling and jobs=0.
 
-Covers the sweep-engine side of docs/batched_kernels.md: batched
+Covers the sweep-engine side of docs/compiled_kernels.md: compiled
 ``run_points`` output is bit-identical to the serial interpreter, batch
 plans round-trip through the disk cache's plans tier (with hit/miss
-counters), worker recycling (``recycle=N``) respawns processes without
-losing results or resilience counters, and ``jobs=0`` auto-detects the
-CPU count.
+counters) behind a single-entry in-process memo, worker recycling
+(``recycle=N``) respawns processes without losing results or resilience
+counters, and ``jobs=0`` auto-detects the CPU count.
 """
 
 import os
@@ -51,14 +51,14 @@ def _points():
     ]
 
 
-# -- batched engine through run_points ---------------------------------------
+# -- compiled engine through run_points --------------------------------------
 
 
 def test_batched_run_points_bit_identical_to_interp_serial(monkeypatch):
     monkeypatch.setenv(KERNEL_ENV, "interp")
     ref = run_points(_points(), jobs=1)
     clear_cache()
-    monkeypatch.setenv(KERNEL_ENV, "batched")
+    monkeypatch.delenv(KERNEL_ENV)
     for jobs in (1, 2):
         clear_cache()
         got = run_points(_points(), jobs=jobs)
@@ -69,14 +69,15 @@ def test_batched_run_points_bit_identical_to_interp_serial(monkeypatch):
 
 
 def test_plan_disk_cache_round_trip(monkeypatch, tmp_path):
-    """A cold batched run stores one plan per (workload, geometry); a
-    fresh process (simulated by clearing the memo) hits the disk."""
-    monkeypatch.setenv(KERNEL_ENV, "batched")
+    """A cold run stores one plan per (workload, geometry); a fresh
+    process (simulated by clearing the memo) hits the disk."""
     cache = configure_disk_cache(True, tmp_path)
     pts = _points()
     cold = run_points(pts, jobs=1)
     assert cache.counters["plan_misses"] == 2  # one per workload
-    assert cache.counters["plan_hits"] == 0
+    # The serial run alternates workloads and the memo keeps only the
+    # last plan, so every later point reloads its plan from disk.
+    assert cache.counters["plan_hits"] == len(pts) - 2
 
     clear_cache()
     clear_plan_memo()
@@ -85,13 +86,12 @@ def test_plan_disk_cache_round_trip(monkeypatch, tmp_path):
     shutil.rmtree(cache.results_dir)  # force re-simulation, keep plans
     cache2 = configure_disk_cache(True, tmp_path)
     warm = run_points(pts, jobs=1)
-    assert cache2.counters["plan_hits"] == 2
+    assert cache2.counters["plan_hits"] == len(pts)
     assert cache2.counters["plan_misses"] == 0
     assert [r.stats for r in cold] == [r.stats for r in warm]
 
 
 def test_corrupt_plan_entry_is_dropped_and_rebuilt(monkeypatch, tmp_path):
-    monkeypatch.setenv(KERNEL_ENV, "batched")
     cache = configure_disk_cache(True, tmp_path)
     point = _points()[0]
     trace = fetch_trace(point.workload, point.length, point.seed)
@@ -102,7 +102,7 @@ def test_corrupt_plan_entry_is_dropped_and_rebuilt(monkeypatch, tmp_path):
     path.write_bytes(b"not an npz")
     clear_plan_memo()
     plan = fetch_batch_plan(point, trace)  # corrupt entry: rebuilt
-    assert len(plan.line_ix) == len(trace)
+    assert len(plan.next_br) == len(trace)
     assert cache.counters["plan_misses"] == 2
     assert path.exists()  # re-stored
 
@@ -115,6 +115,22 @@ def test_plan_key_distinguishes_geometry_and_trace():
     assert plan_key(a, geom) != plan_key(other, geom)
     small = batch_geometry(ibtb(16, bp_size_kb=2))
     assert plan_key(a, small) != plan_key(a, geom)
+
+
+def test_plan_memo_keeps_only_the_last_plan():
+    """Two traces x two predictor sizes need four plans, yet the
+    in-process memo holds just the last one (older plans come back from
+    the disk cache or a rebuild, not from memory)."""
+    from repro.core.exec import engine
+
+    pts = [
+        SweepPoint(ibtb(16, bp_size_kb=kb), name, L, W, 7)
+        for kb in (8, 64)
+        for name in ("web_frontend", "db_oltp")
+    ]
+    clear_plan_memo()
+    run_points(pts, jobs=1)
+    assert len(engine._plan_memo) == 1
 
 
 # -- worker recycling ---------------------------------------------------------

@@ -141,13 +141,13 @@ def test_sweep_resume_skips_checkpointed_corpus_points(ingested, tmp_path):
     assert [r.stats for r in resumed] == [r.stats for r in first]
 
 
-# -- batched plans over corpus workloads -------------------------------------
+# -- batch plans over corpus workloads ---------------------------------------
 
 
 def test_batched_corpus_point_bit_identical_and_plan_cached(
     ingested, tmp_path, monkeypatch
 ):
-    """A corpus point runs bit-identically under the batched engine, and
+    """A corpus point runs bit-identically under the compiled engine, and
     its batch plan lands in the disk cache's plans tier keyed (and
     source-marked) by the corpus content hash."""
     from repro.core.exec import clear_plan_memo
@@ -156,7 +156,7 @@ def test_batched_corpus_point_bit_identical_and_plan_cached(
     monkeypatch.setenv(KERNEL_ENV, "interp")
     ref = run_points([_point()])
     clear_cache()
-    monkeypatch.setenv(KERNEL_ENV, "batched")
+    monkeypatch.delenv(KERNEL_ENV)
     cache = configure_disk_cache(True, tmp_path / "cache")
     got = run_points([_point()])
     assert ref[0].stats == got[0].stats
@@ -167,7 +167,6 @@ def test_batched_corpus_point_bit_identical_and_plan_cached(
     store, _ = ingested
     assert meta["source"] == store.get("web_frontend").content_hash
     clear_plan_memo()
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
 
 
 def test_corpus_gc_prunes_plans_of_removed_entries(
@@ -180,7 +179,7 @@ def test_corpus_gc_prunes_plans_of_removed_entries(
     from repro.core.passes.kernel import KERNEL_ENV
 
     store, _ = ingested
-    monkeypatch.setenv(KERNEL_ENV, "batched")
+    monkeypatch.delenv(KERNEL_ENV, raising=False)
     cache_dir = tmp_path / "cache"
     cache = configure_disk_cache(True, cache_dir)
     run_points([_point()])  # corpus-backed plan
@@ -205,4 +204,3 @@ def test_corpus_gc_prunes_plans_of_removed_entries(
     assert len(remaining) == 1
     assert remaining[0]["source"] == "synth"
     clear_plan_memo()
-    monkeypatch.delenv(KERNEL_ENV, raising=False)

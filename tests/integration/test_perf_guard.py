@@ -62,7 +62,7 @@ def test_committed_baselines_classified_as_expected():
     for path in sorted((REPO / "benchmarks" / "results").glob("BENCH_*.json")):
         if perf_guard.extract(json.loads(path.read_text())) is not None:
             guardable.add(path.name)
-    assert "BENCH_batch.json" in guardable
+    assert perf_guard.DEFAULT_BASELINE.name == "BENCH_kernel.json"
     assert "BENCH_kernel.json" in guardable
     assert "BENCH_sweep.json" not in guardable
     assert "BENCH_corpus.json" not in guardable
@@ -110,10 +110,10 @@ def _dirs(tmp_path):
 
 def test_all_mode_guards_every_guardable_baseline(tmp_path, capsys):
     fresh_dir, base_dir = _dirs(tmp_path)
-    _write(base_dir / "BENCH_batch.json", _bench(2.0, {"f": 2.0}))
+    _write(base_dir / "BENCH_dist.json", _bench(2.0, {"f": 2.0}))
     _write(base_dir / "BENCH_kernel.json", _bench(3.0))
     _write(base_dir / "BENCH_sweep.json", {"phases": {}})  # unguardable
-    _write(fresh_dir / "BENCH_batch.json", _bench(1.95, {"f": 1.95}))
+    _write(fresh_dir / "BENCH_dist.json", _bench(1.95, {"f": 1.95}))
     _write(fresh_dir / "BENCH_kernel.json", _bench(2.9))
     assert perf_guard.main(["--all", str(fresh_dir), str(base_dir)]) == 0
     out = capsys.readouterr().out
@@ -123,16 +123,16 @@ def test_all_mode_guards_every_guardable_baseline(tmp_path, capsys):
 
 def test_all_mode_fails_on_any_regression(tmp_path):
     fresh_dir, base_dir = _dirs(tmp_path)
-    _write(base_dir / "BENCH_batch.json", _bench(2.0))
+    _write(base_dir / "BENCH_dist.json", _bench(2.0))
     _write(base_dir / "BENCH_kernel.json", _bench(3.0))
-    _write(fresh_dir / "BENCH_batch.json", _bench(1.95))
+    _write(fresh_dir / "BENCH_dist.json", _bench(1.95))
     _write(fresh_dir / "BENCH_kernel.json", _bench(1.0))  # regressed
     assert perf_guard.main(["--all", str(fresh_dir), str(base_dir)]) == 1
 
 
 def test_all_mode_fails_when_fresh_measurement_missing(tmp_path, capsys):
     fresh_dir, base_dir = _dirs(tmp_path)
-    _write(base_dir / "BENCH_batch.json", _bench(2.0))
+    _write(base_dir / "BENCH_dist.json", _bench(2.0))
     assert perf_guard.main(["--all", str(fresh_dir), str(base_dir)]) == 1
     assert "no fresh measurement" in capsys.readouterr().out
 

@@ -1,51 +1,24 @@
-"""Differential golden tests: batched kernels vs the interpreter.
+"""Differential golden tests: compiled kernels on a shared batch plan.
 
-The batched engine contract (docs/batched_kernels.md): a batched kernel
-consuming a shared :class:`~repro.trace.columnar.BatchPlan` is an
-*exact* semantic copy of the reference interpreter — same SimResult,
-same Stats counters, same structure samples — for every supported
-configuration, with graceful fallback (batched -> compiled -> interp)
-when the plan is absent or the config is unsupported. Mirrors
-tests/kernel/test_differential.py on the new engine axis.
+Every compiled kernel reads its branch predictions from a
+:class:`~repro.trace.columnar.BatchPlan`. A sweep hands one plan to
+every config of a predictor geometry; a direct ``Simulator.run`` builds
+its own (tests/kernel/test_differential.py). This module covers the
+handed-plan side of the same interp-vs-compiled axis: the result is an
+*exact* copy of the reference interpreter's, a plan built for another
+geometry or trace slice is rejected, and configs the kernel does not
+support fall back to the interpreter whatever plan they are handed.
 """
 
 import pytest
 
-from repro.core.config import (
-    IDEAL_IBTB16,
-    bbtb,
-    build_simulator,
-    hetero_btb,
-    ibtb,
-    ibtb_skp,
-    mbbtb,
-    rbtb,
-)
+from repro.core.config import build_simulator, hetero_btb, ibtb
 from repro.core.passes.kernel import KERNEL_ENV, batch_geometry
 from repro.trace.columnar import build_batch_plan, geometry_for
 from repro.trace.trace import Trace
 from repro.trace.workloads import get_trace
 
-L = 8_000
-
-#: Every compiled config family exercised by the fig benchmarks. All
-#: share the default predictor size, hence one batch-plan geometry.
-CONFIGS = [
-    ibtb(16),
-    ibtb(4),
-    ibtb_skp(),
-    rbtb(3),
-    rbtb(3, overflow=4),
-    rbtb(2, interleaved=True),
-    bbtb(1, splitting=True),
-    bbtb(2),
-    mbbtb(2, "allbr"),
-    mbbtb(2, "uncond"),
-    mbbtb(2, "calldir"),
-    IDEAL_IBTB16,
-    ibtb(16, ideal_backend=True),
-    ibtb(16, early_resteer=True),
-]
+from tests.kernel.test_differential import CONFIGS, L, _assert_identical
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +28,8 @@ def trace():
 
 @pytest.fixture(scope="module")
 def plan(trace):
+    # Every config in CONFIGS has the default predictor size, hence one
+    # batch-plan geometry.
     return build_batch_plan(trace, batch_geometry(ibtb(16)))
 
 
@@ -65,54 +40,49 @@ def _run(config, trace, mode, monkeypatch, warmup=0, plan=None):
     return engine, sim.run(warmup=warmup, batch_plan=plan)
 
 
-def _assert_identical(a, b):
-    assert a.cycles == b.cycles
-    assert a.instructions == b.instructions
-    assert a.stats == b.stats
-    assert a.structure == b.structure
-
-
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.label)
 def test_batched_matches_interp(config, trace, plan, monkeypatch):
     engine_i, interp = _run(config, trace, "interp", monkeypatch)
-    engine_b, batched = _run(config, trace, "batched", monkeypatch, plan=plan)
+    engine_c, compiled = _run(config, trace, "compiled", monkeypatch, plan=plan)
     assert engine_i == "interp"
-    assert engine_b == "batched"
-    _assert_identical(batched, interp)
+    assert engine_c == "compiled"
+    _assert_identical(compiled, interp)
 
 
 @pytest.mark.parametrize("config", CONFIGS[:4], ids=lambda c: c.label)
 def test_batched_matches_interp_with_warmup(config, trace, plan, monkeypatch):
     _, interp = _run(config, trace, "interp", monkeypatch, warmup=L // 4)
-    _, batched = _run(
-        config, trace, "batched", monkeypatch, warmup=L // 4, plan=plan
+    _, compiled = _run(
+        config, trace, "compiled", monkeypatch, warmup=L // 4, plan=plan
     )
-    _assert_identical(batched, interp)
+    _assert_identical(compiled, interp)
 
 
-def test_batched_without_plan_falls_back_to_compiled(trace, monkeypatch):
-    """``REPRO_KERNEL=batched`` with no plan handed to ``run`` uses the
-    per-config compiled kernel — still bit-identical."""
+def test_compiled_without_plan_builds_its_own(trace, plan, monkeypatch):
+    """No plan handed to ``run``: the kernel builds one for the config's
+    geometry and matches both the interpreter and a handed-plan run."""
     config = ibtb(16)
     _, interp = _run(config, trace, "interp", monkeypatch)
-    engine_b, batched = _run(config, trace, "batched", monkeypatch, plan=None)
-    assert engine_b == "batched"  # eligibility is config-level
-    _assert_identical(batched, interp)
+    engine, own = _run(config, trace, "compiled", monkeypatch, plan=None)
+    _, shared = _run(config, trace, "compiled", monkeypatch, plan=plan)
+    assert engine == "compiled"
+    _assert_identical(own, interp)
+    _assert_identical(shared, own)
 
 
-def test_batched_hetero_falls_back_to_interp(trace, monkeypatch):
+def test_batched_hetero_falls_back_to_interp(trace, plan, monkeypatch):
     config = hetero_btb(1, 2)
-    engine_b, batched = _run(config, trace, "batched", monkeypatch)
-    assert engine_b == "interp"
+    engine_c, compiled = _run(config, trace, "compiled", monkeypatch, plan=plan)
+    assert engine_c == "interp"
     _, interp = _run(config, trace, "interp", monkeypatch)
-    _assert_identical(batched, interp)
+    _assert_identical(compiled, interp)
 
 
 def test_geometry_mismatch_raises(trace, monkeypatch):
     """A plan built for a different predictor geometry is rejected by
     the kernel prelude instead of silently corrupting results."""
     wrong = build_batch_plan(trace.slice(0, 500), geometry_for(2))
-    monkeypatch.setenv(KERNEL_ENV, "batched")
+    monkeypatch.setenv(KERNEL_ENV, "compiled")
     sim = build_simulator(ibtb(16), trace)
     with pytest.raises(RuntimeError, match="geometry"):
         sim.run(batch_plan=wrong)
@@ -121,13 +91,13 @@ def test_geometry_mismatch_raises(trace, monkeypatch):
 def test_plan_length_mismatch_raises(trace, monkeypatch):
     """A plan built over a different trace slice is rejected too."""
     short = build_batch_plan(trace.slice(0, 500), batch_geometry(ibtb(16)))
-    monkeypatch.setenv(KERNEL_ENV, "batched")
+    monkeypatch.setenv(KERNEL_ENV, "compiled")
     sim = build_simulator(ibtb(16), trace)
     with pytest.raises(RuntimeError, match="trace length"):
         sim.run(batch_plan=short)
 
 
-# -- degenerate slices: all three engines agree exactly ----------------------
+# -- degenerate slices: every engine agrees exactly ---------------------------
 
 
 def _tiny_trace(n):
@@ -139,35 +109,42 @@ def _tiny_trace(n):
     return trace
 
 
-@pytest.mark.parametrize("mode", ["interp", "compiled", "batched"])
+#: (id, REPRO_KERNEL value, hand the run a prebuilt plan).
+ENGINES = {
+    "interp": ("interp", False),
+    "compiled": ("compiled", False),
+    "batched": ("compiled", True),
+}
+
+
+def _engine_run(engine, trace, monkeypatch, warmup):
+    mode, handed = ENGINES[engine]
+    config = ibtb(16)
+    plan = build_batch_plan(trace, batch_geometry(config)) if handed else None
+    return _run(config, trace, mode, monkeypatch, warmup=warmup, plan=plan)
+
+
+@pytest.mark.parametrize("mode", list(ENGINES))
 @pytest.mark.parametrize("n,warmup", [(0, 0), (1, 1), (5, 5), (5, 7)])
 def test_warmup_not_below_trace_raises_everywhere(
     mode, n, warmup, monkeypatch
 ):
     """Zero-instruction and warmup-consumes-everything slices raise the
-    same ValueError under every engine (no div-by-zero, no divergence)."""
-    trace = _tiny_trace(n)
-    config = ibtb(16)
-    plan = build_batch_plan(trace, batch_geometry(config)) if mode == "batched" else None
-    monkeypatch.setenv(KERNEL_ENV, mode)
-    sim = build_simulator(config, trace)
+    same ValueError under every engine, with or without a handed plan
+    (no div-by-zero, no divergence)."""
     with pytest.raises(ValueError, match="warmup"):
-        sim.run(warmup=warmup, batch_plan=plan)
+        _engine_run(mode, _tiny_trace(n), monkeypatch, warmup)
 
 
 @pytest.mark.parametrize("n,warmup", [(1, 0), (8, 7)])
 def test_warmup_only_slices_bit_identical(n, warmup, monkeypatch):
     """A measured region of a single instruction produces identical
-    Stats under interp, compiled and batched (cycle clamp included)."""
+    Stats under every engine (cycle clamp included)."""
     trace = _tiny_trace(n)
-    config = ibtb(16)
-    plan = build_batch_plan(trace, batch_geometry(config))
-    results = {}
-    for mode in ("interp", "compiled", "batched"):
-        bp = plan if mode == "batched" else None
-        _, results[mode] = _run(
-            config, trace, mode, monkeypatch, warmup=warmup, plan=bp
-        )
+    results = {
+        engine: _engine_run(engine, trace, monkeypatch, warmup)[1]
+        for engine in ENGINES
+    }
     _assert_identical(results["compiled"], results["interp"])
     _assert_identical(results["batched"], results["interp"])
     assert results["interp"].cycles >= 1

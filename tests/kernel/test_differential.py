@@ -6,7 +6,9 @@ of the reference interpreter — same SimResult, same Stats counters,
 same obs event streams on the instrumented fallback path. These tests
 run the fig-benchmark config families under both ``REPRO_KERNEL``
 values and assert bit-identity, extending the tests/obs/test_golden.py
-pattern to the engine axis.
+pattern to the engine axis. Here each compiled run builds its own batch
+plan; tests/kernel/test_batched.py hands one shared plan to every
+config.
 """
 
 import pytest
@@ -52,6 +54,13 @@ def trace():
     return get_trace("web_frontend", L)
 
 
+def _assert_identical(a, b):
+    assert a.cycles == b.cycles
+    assert a.instructions == b.instructions
+    assert a.stats == b.stats
+    assert a.structure == b.structure
+
+
 def _run(config, trace, mode, monkeypatch, warmup=0, probe=None):
     """Build, snapshot the engine choice (pre-run: a finished run has
     populated stats, which disqualifies the kernel), then run."""
@@ -67,10 +76,7 @@ def test_compiled_matches_interp(config, trace, monkeypatch):
     engine_c, compiled = _run(config, trace, "compiled", monkeypatch)
     assert engine_i == "interp"
     assert engine_c == "compiled"
-    assert compiled.cycles == interp.cycles
-    assert compiled.instructions == interp.instructions
-    assert compiled.stats == interp.stats
-    assert compiled.structure == interp.structure
+    _assert_identical(compiled, interp)
 
 
 @pytest.mark.parametrize("config", CONFIGS[:4], ids=lambda c: c.label)

@@ -36,7 +36,7 @@ def test_kernel_mode_accepts_documented_values(monkeypatch, value):
     assert kernel_mode() == value
 
 
-@pytest.mark.parametrize("value", ["bogus", "jit", "compiled,interp"])
+@pytest.mark.parametrize("value", ["bogus", "jit", "compiled,interp", "batched"])
 def test_kernel_mode_rejects_malformed_values(monkeypatch, value):
     monkeypatch.setenv(KERNEL_ENV, value)
     with pytest.raises(KernelConfigError, match="REPRO_KERNEL"):

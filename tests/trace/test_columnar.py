@@ -1,6 +1,6 @@
 """Property tests for the columnar trace lowering and predictor plans.
 
-The contract (docs/batched_kernels.md): :func:`lower_trace`'s derived
+The contract (docs/compiled_kernels.md): :func:`lower_trace`'s derived
 arrays round-trip *exactly* against reference iteration over the
 :class:`Trace` — ``line_ix`` vs ``Trace.line_index``, ``next_pc`` vs
 ``Trace.next_pc``, ``next_br``/``run_end`` vs naive per-instruction
