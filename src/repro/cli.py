@@ -269,7 +269,6 @@ _RESILIENCE_COLUMNS = (
     "timeouts",
     "worker_crashes",
     "resumed",
-    "deferred",
 )
 
 
@@ -338,7 +337,7 @@ def _cmd_sweep(args) -> int:
         return sweep_compare(
             configs, IDEAL_IBTB16, names, length=args.length, warmup=warmup,
             jobs=jobs, policy=policy, journal=journal, resume=args.resume,
-            strict=args.strict, batch=args.batch, recycle=args.recycle,
+            strict=args.strict, batch=args.batch,
             dispatch=args.dist,
         )
 
@@ -501,7 +500,6 @@ def _cmd_serve(args) -> int:
             max_retries=args.max_retries,
             timeout=args.timeout,
             batch=args.batch,
-            recycle=args.recycle,
             cache_max_bytes=int(args.cache_max_mb * (1 << 20)),
             drain_timeout=args.drain_timeout,
             state_dir=state_dir,
@@ -805,11 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
         "larger batches let more configs reuse one shared batch plan",
     )
     p.add_argument(
-        "--recycle", type=int, default=0, metavar="N",
-        help="retire each worker process after N dispatched points and "
-        "respawn on demand (default 0: never)",
-    )
-    p.add_argument(
         "--no-disk-cache", action="store_true",
         help="skip the persistent cache (~/.cache/repro-btb)",
     )
@@ -825,8 +818,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="soft per-point wall-clock budget; a hung worker is killed "
-        "and its point retried (default: no deadline)",
+        help="per-point wall-clock budget; a worker silent past it is "
+        "killed and its point retried (default: no deadline)",
     )
     p.add_argument(
         "--resume", action="store_true",
@@ -899,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve", help="async simulation daemon (coalescing + admission "
-        "control over the warm worker pool; docs/service.md)"
+        "control over local worker sessions; docs/service.md)"
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
@@ -929,15 +922,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-point retry budget (default 2)")
     p.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="soft per-point wall-clock budget (default: no deadline)",
+        help="per-point wall-clock budget (default: no deadline)",
     )
     p.add_argument(
         "--batch", type=int, default=None, metavar="N",
         help="points per worker dispatch (default: load-balanced)",
-    )
-    p.add_argument(
-        "--recycle", type=int, default=0, metavar="N",
-        help="retire each worker after N points (default 0: never)",
     )
     p.add_argument(
         "--no-disk-cache", action="store_true",
@@ -983,8 +972,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dist-listen", default=None, metavar="HOST:PORT",
         help="host a dist coordinator at this address and drain sweep "
-        "jobs onto connected 'repro-sim worker' fleets instead of the "
-        "local pool; fleet counters appear under /v1/metrics "
+        "jobs onto connected 'repro-sim worker' fleets instead of "
+        "local sessions; fleet counters appear under /v1/metrics "
         "(docs/distributed.md)",
     )
     p.set_defaults(func=_cmd_serve)

@@ -1,4 +1,4 @@
-"""Sweep execution engine: cached point execution and a resilient pool.
+"""Sweep execution engine: cached point execution and resilient sweeps.
 
 The unit of work is a :class:`SweepPoint` — one independent
 (config, workload, length, warmup, seed) simulation, exactly the
@@ -6,21 +6,19 @@ parallelism grain of the paper's ChampSim campaigns. Three layers:
 
 * :func:`execute_point` runs one point, consulting the persistent disk
   cache (results *and* synthesized traces) when one is configured;
-* :func:`run_points` fans a list of points across a pool of persistent
-  ``multiprocessing`` workers (one process serves many chunks, so warm
-  state — trace memo, compiled kernels — is paid for once per worker).
-  Points are chunked so that points sharing a trace land in the same
-  chunk, chunks are dispatched with trace affinity (a worker keeps
-  getting groups it has already loaded; concurrent workers warm
-  *different* traces), and results are reassembled by original index,
-  so parallel output is bit-identical to serial, in the same order. Sweeps degrade gracefully instead of
+* :func:`run_points` runs a list of points. ``jobs=1`` executes them
+  in-process (the reference path); ``jobs>1`` drains them through a
+  private loopback :class:`~repro.dist.coordinator.Coordinator` onto
+  that many forked local worker sessions, the same scheduler that
+  drives a remote ``repro-sim worker`` fleet. Either way results are
+  reassembled by original index, so parallel output is bit-identical to
+  serial, in the same order. Sweeps degrade gracefully instead of
   aborting (see :mod:`repro.core.exec.resilience` and
-  ``docs/robustness.md``): workers stream per-point outcomes back over a
-  pipe and catch per-point exceptions, the parent detects crashed or
-  hung workers, pinpoints the poison point (the first unreported one in
-  the chunk), and re-dispatches it alone with exponential backoff up to
-  ``RetryPolicy.max_retries``; ``strict=False`` returns partial results
-  plus classified failures instead of raising, and a
+  ``docs/robustness.md``): per-point exceptions are caught and
+  classified, crashed or hung workers are blamed for exactly the point
+  they were executing, and failed points are retried with exponential
+  backoff up to ``RetryPolicy.max_retries``; ``strict=False`` returns
+  partial results plus classified failures instead of raising, and a
   :class:`~repro.core.exec.resilience.SweepJournal` checkpoint lets an
   interrupted sweep resume with only its unfinished points;
 * :func:`configure_disk_cache` / :func:`get_disk_cache` manage the
@@ -30,14 +28,11 @@ parallelism grain of the paper's ChampSim campaigns. Three layers:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import traceback as traceback_module
-from dataclasses import dataclass, field
-from math import ceil
-from multiprocessing import connection as mp_connection
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MachineConfig, build_simulator
 from repro.core.exec.cachekey import CACHE_SCHEMA, digest, result_key, trace_key
@@ -83,8 +78,8 @@ _trace_memo: Dict[Tuple[str, int, int], object] = {}
 
 #: In-process memo of the *last* batch plan (columnar derivations +
 #: predictor replay consumed by compiled kernels), keyed by
-#: (workload, length, seed, PredictorGeometry). Chunk dispatch groups
-#: points by trace and orders them by predictor size, so consecutive
+#: (workload, length, seed, PredictorGeometry). Leases group points by
+#: trace and order them by predictor size, so consecutive
 #: points of one geometry family reuse the entry; older plans are
 #: reloaded from the disk cache on demand instead of accumulating here.
 _plan_memo: Dict[Tuple, object] = {}
@@ -351,7 +346,7 @@ def execute_point(point: SweepPoint) -> SimResult:
     return result
 
 
-# -- resilient process fan-out ----------------------------------------------
+# -- resilient execution ----------------------------------------------------
 
 
 def _attempt_once(point: SweepPoint) -> SimResult:
@@ -369,94 +364,6 @@ def _classify_exception(exc: BaseException) -> str:
     return (
         "cache-corrupt" if isinstance(exc, InjectedCacheCorruption) else "exception"
     )
-
-
-def _worker_main(conn, cache_root, cache_shard: bool = False) -> None:
-    """Persistent worker loop: run chunks until told to shut down.
-
-    The worker reconfigures its own disk cache from the shipped root so
-    behaviour is identical under fork and spawn start methods, then
-    blocks on the pipe for chunk jobs ``(pairs, timeout)``. A ``None``
-    job (or pipe EOF) is a clean shutdown. Keeping the process alive
-    across chunks is what makes parallel cold sweeps win: the in-process
-    trace memo and the compiled-kernel cache are warmed once per
-    *worker*, not once per *chunk*.
-
-    For each chunk the worker streams one message per point back:
-
-    * ``("ok", index, result, seconds, counters)`` — point succeeded;
-    * ``("err", index, kind, message, traceback, counters)`` — the point
-      raised; the worker keeps going through the rest of its chunk, so
-      one poison point never takes down its chunk-mates;
-    * ``("defer", index, counters)`` — the chunk's soft wall-clock
-      budget ran out before this point started; the parent re-dispatches
-      it in a fresh chunk (no blame, no attempt consumed);
-    * ``("done", counters)`` — chunk finished; the worker is idle again
-      and can be handed its next chunk.
-
-    Every message carries a cumulative counter snapshot: if the process
-    is killed mid-chunk the parent still folds in the last one seen.
-    """
-    disk = configure_disk_cache(
-        enabled=cache_root is not None, root=cache_root, shard=cache_shard
-    )
-    snap = (lambda: disk.snapshot()) if disk is not None else (lambda: {})
-    try:
-        while True:
-            try:
-                job = conn.recv()
-            except (EOFError, OSError):
-                return
-            if job is None:
-                return
-            pairs, timeout, deadline_remaining = job
-            budget = timeout * len(pairs) if timeout is not None else None
-            start = time.monotonic()
-            deadline_at = (
-                start + deadline_remaining
-                if deadline_remaining is not None
-                else None
-            )
-            for position, (index, point) in enumerate(pairs):
-                # Hard deadline check: every point past it (first
-                # included — an expired deadline guarantees nothing) is
-                # handed back undone; the parent classifies it.
-                if deadline_at is not None and time.monotonic() >= deadline_at:
-                    conn.send(("defer", index, snap()))
-                    continue
-                # Soft budget check between points: the first point
-                # always runs (guaranteeing progress), later ones are
-                # handed back if earlier ones consumed the chunk's
-                # whole budget.
-                if (
-                    budget is not None
-                    and position
-                    and time.monotonic() - start > budget
-                ):
-                    conn.send(("defer", index, snap()))
-                    continue
-                t0 = time.monotonic()
-                try:
-                    result = _attempt_once(point)
-                except Exception as exc:
-                    conn.send(
-                        (
-                            "err",
-                            index,
-                            _classify_exception(exc),
-                            f"{type(exc).__name__}: {exc}",
-                            traceback_module.format_exc(),
-                            snap(),
-                        )
-                    )
-                else:
-                    conn.send(("ok", index, result, time.monotonic() - t0, snap()))
-            conn.send(("done", snap()))
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
 
 
 #: Default worker count for CLI sweeps when ``--jobs`` is not given.
@@ -491,95 +398,6 @@ def resolve_jobs(jobs: Optional[int] = None, default_auto: bool = False) -> int:
         probe = getattr(os, "process_cpu_count", None) or os.cpu_count
         jobs = probe() or 1
     return max(1, jobs)
-
-
-def _chunk_pairs(
-    pairs: Sequence[Tuple[int, SweepPoint]],
-    jobs: int,
-    batch: Optional[int] = None,
-) -> List[List[Tuple[int, SweepPoint]]]:
-    """Chunk (index, point) pairs, grouping shared-trace points together.
-
-    Points are bucketed by (workload, length, seed) so a worker reuses
-    one synthesized trace across its whole chunk; within a bucket they
-    are ordered by predictor size so configs sharing a batch-plan
-    geometry land adjacent (one plan fetch serves the run of them);
-    chunks are bounded so the pool stays load-balanced even when one
-    workload dominates. *batch* overrides the load-balancing bound with
-    an explicit chunk size.
-    """
-    order = sorted(
-        range(len(pairs)),
-        key=lambda i: (
-            pairs[i][1].workload,
-            pairs[i][1].length,
-            pairs[i][1].seed,
-            pairs[i][1].config.bp_size_kb,
-            pairs[i][0],
-        ),
-    )
-    if batch is not None:
-        bound = max(1, int(batch))
-    else:
-        bound = max(1, ceil(len(pairs) / (jobs * 4)))
-    chunks: List[List[Tuple[int, SweepPoint]]] = []
-    current: List[Tuple[int, SweepPoint]] = []
-    current_group = None
-    for i in order:
-        index, point = pairs[i]
-        group = (point.workload, point.length, point.seed)
-        if current and (group != current_group or len(current) >= bound):
-            chunks.append(current)
-            current = []
-        current_group = group
-        current.append((index, point))
-    if current:
-        chunks.append(current)
-    return chunks
-
-
-def _chunk_points(
-    points: Sequence[SweepPoint], jobs: int
-) -> List[List[Tuple[int, SweepPoint]]]:
-    """Chunk points for the pool (see :func:`_chunk_pairs`)."""
-    return _chunk_pairs(list(enumerate(points)), jobs)
-
-
-@dataclass
-class _PendingChunk:
-    chunk_id: int
-    pairs: List[Tuple[int, SweepPoint]]
-    not_before: float = 0.0
-
-
-def _chunk_group(chunk: _PendingChunk) -> Tuple[str, int, int]:
-    """The shared-trace group of a chunk (chunks never mix groups)."""
-    point = chunk.pairs[0][1]
-    return (point.workload, point.length, point.seed)
-
-
-@dataclass
-class _LiveWorker:
-    """One persistent pool member. ``chunk is None`` means idle."""
-
-    proc: multiprocessing.process.BaseProcess
-    conn: object
-    slot: int
-    last_msg: float
-    chunk: Optional[_PendingChunk] = None
-    #: Shared-trace groups this worker has already loaded (dispatch
-    #: affinity: keep handing it chunks whose trace it holds in memo).
-    groups: Set[Tuple[str, int, int]] = field(default_factory=set)
-    reported: Set[int] = field(default_factory=set)
-    deferred: List[Tuple[int, SweepPoint]] = field(default_factory=list)
-    counters: Dict[str, int] = field(default_factory=dict)
-    eof: bool = False
-    killed: bool = False
-    #: Points dispatched to this worker over its lifetime; when it
-    #: crosses the recycle threshold the worker is retired after its
-    #: current chunk (bounding per-process memory growth from memos).
-    dispatched: int = 0
-    retiring: bool = False
 
 
 class _SweepState:
@@ -817,370 +635,6 @@ def _run_serial_resilient(state: _SweepState) -> SweepReport:
     return state.finish()
 
 
-def _run_parallel_resilient(
-    state: _SweepState,
-    jobs: int,
-    batch: Optional[int] = None,
-    recycle: int = 0,
-) -> SweepReport:
-    """Process fan-out with crash/hang detection and per-point retries.
-
-    A pool of at most *jobs* persistent workers; chunks are dispatched
-    to idle workers over a duplex pipe, so one process serves many
-    chunks and its warm state (trace memo, compiled kernels, imports)
-    is paid for once per worker instead of once per chunk. A dead or
-    hung worker is reaped or killed individually and a replacement is
-    spawned on demand, so crashes still can't poison the pool. Workers
-    stream per-point outcomes, so after a crash the first unreported
-    point of the worker's current chunk is the one that was executing —
-    it is blamed and quarantined into a singleton retry chunk while its
-    chunk-mates are re-dispatched blame-free.
-
-    *recycle* > 0 retires a worker cleanly after it has been handed that
-    many points (``maxtasksperchild`` discipline: a fresh process
-    replaces it on demand, bounding memo/kernel memory growth on long
-    sweeps without losing counters — the retiree's final snapshot is
-    folded in at reap time like any other shutdown).
-    """
-    policy = state.policy
-    ctx = multiprocessing.get_context()
-    disk = get_disk_cache()
-    cache_root = str(disk.root) if disk is not None else None
-    cache_shard = bool(disk.shard) if disk is not None else False
-    allowance = policy.allowance()
-
-    pending: List[_PendingChunk] = []
-    next_chunk_id = 0
-
-    def schedule(pairs, delay: float = 0.0) -> None:
-        nonlocal next_chunk_id
-        if not pairs:
-            return
-        pending.append(
-            _PendingChunk(next_chunk_id, list(pairs), state.now() + delay)
-        )
-        next_chunk_id += 1
-
-    for chunk_pairs in _chunk_pairs(state.pairs, jobs, batch):
-        schedule(chunk_pairs)
-
-    live: Dict[object, _LiveWorker] = {}
-    free_slots = set(range(jobs))
-
-    def spawn() -> _LiveWorker:
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, cache_root, cache_shard),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        slot = min(free_slots)
-        free_slots.discard(slot)
-        worker = _LiveWorker(
-            proc=proc, conn=parent_conn, slot=slot, last_msg=state.now()
-        )
-        live[parent_conn] = worker
-        return worker
-
-    def assign(worker: _LiveWorker, chunk: _PendingChunk) -> bool:
-        """Hand *chunk* to an idle worker; False if its pipe is dead."""
-        try:
-            worker.conn.send(
-                (chunk.pairs, policy.timeout, state.deadline_remaining())
-            )
-        except (BrokenPipeError, OSError):
-            worker.eof = True
-            return False
-        worker.chunk = chunk
-        worker.dispatched += len(chunk.pairs)
-        worker.groups.add(_chunk_group(chunk))
-        worker.reported = set()
-        worker.deferred = []
-        worker.last_msg = state.now()
-        state.report.record(
-            state.now(),
-            "chunk_start",
-            slot=worker.slot,
-            chunk=chunk.chunk_id,
-            points=len(chunk.pairs),
-        )
-        return True
-
-    def handle_message(worker: _LiveWorker, msg) -> None:
-        tag = msg[0]
-        if tag == "ok":
-            _, index, result, duration, counters = msg
-            worker.counters = counters
-            worker.reported.add(index)
-            point = dict(worker.chunk.pairs)[index]
-            state.point_succeeded(index, point, result, duration)
-            state.report.record(
-                state.now(),
-                "point_ok",
-                index=index,
-                slot=worker.slot,
-                attempt=state.attempts[index],
-            )
-        elif tag == "err":
-            _, index, kind, message, tb, counters = msg
-            worker.counters = counters
-            worker.reported.add(index)
-            point = dict(worker.chunk.pairs)[index]
-            retrying = state.point_failed(index, point, kind, message, tb)
-            state.report.record(
-                state.now(),
-                "point_error",
-                index=index,
-                slot=worker.slot,
-                error=kind,
-                attempt=state.attempts[index],
-                final=not retrying,
-            )
-            if retrying:
-                delay = policy.delay(state.attempts[index])
-                state.report.record(
-                    state.now(), "retry", index=index, delay=round(delay, 3)
-                )
-                schedule([(index, point)], delay)
-        elif tag == "defer":
-            _, index, counters = msg
-            worker.counters = counters
-            worker.reported.add(index)
-            worker.deferred.append((index, dict(worker.chunk.pairs)[index]))
-            state.report.bump("deferred")
-            state.report.record(
-                state.now(), "defer", index=index, slot=worker.slot
-            )
-        elif tag == "done":
-            worker.counters = msg[1]
-            if worker.chunk is not None:
-                state.report.record(
-                    state.now(),
-                    "chunk_end",
-                    slot=worker.slot,
-                    chunk=worker.chunk.chunk_id,
-                )
-                schedule(worker.deferred)
-                worker.deferred = []
-                worker.chunk = None  # idle: ready for the next chunk
-                if recycle and worker.dispatched >= recycle:
-                    # Retire cleanly between chunks; the reap pass folds
-                    # its counters and frees the slot for a respawn.
-                    worker.retiring = True
-                    state.report.record(
-                        state.now(),
-                        "worker_retire",
-                        slot=worker.slot,
-                        dispatched=worker.dispatched,
-                    )
-                    try:
-                        worker.conn.send(None)
-                    except Exception:
-                        worker.eof = True
-
-    def reap(conn, worker: _LiveWorker) -> None:
-        """Fold counters, blame/re-dispatch unfinished work, free the slot."""
-        # Drain anything still buffered in the pipe before judging.
-        while True:
-            try:
-                if not conn.poll():
-                    break
-                handle_message(worker, conn.recv())
-            except (EOFError, OSError):
-                break
-        worker.proc.join(timeout=5)
-        conn.close()
-        del live[conn]
-        free_slots.add(worker.slot)
-        if disk is not None and worker.counters:
-            disk.merge_counters(worker.counters)
-        if worker.chunk is None:
-            return  # died (or shut down) idle: nothing to blame
-        # Worker died without finishing its chunk: the first unreported
-        # point is the one that was executing — blame it, re-dispatch
-        # the rest of the chunk blame-free.
-        state.report.record(
-            state.now(), "chunk_end", slot=worker.slot, chunk=worker.chunk.chunk_id
-        )
-        schedule(worker.deferred)
-        unreported = [
-            (index, point)
-            for index, point in worker.chunk.pairs
-            if index not in worker.reported
-        ]
-        if not unreported:
-            return
-        if state.deadline_expired():
-            # The sweep deadline killed this worker: every unfinished
-            # point of its chunk fails terminally as deadline-exceeded —
-            # no blame game, no retries, no re-dispatch.
-            for index, point in unreported:
-                state.point_deadline(index, point)
-            return
-        kind = "timeout" if worker.killed else "worker-crash"
-        suspect_index, suspect_point = unreported[0]
-        retrying = state.point_failed(
-            suspect_index,
-            suspect_point,
-            kind,
-            f"worker pid {worker.proc.pid} "
-            + (
-                "killed after exceeding its wall-clock budget"
-                if worker.killed
-                else f"died with exit code {worker.proc.exitcode} mid-point"
-            ),
-        )
-        state.report.record(
-            state.now(),
-            "timeout_kill" if worker.killed else "worker_crash",
-            slot=worker.slot,
-            chunk=worker.chunk.chunk_id,
-            index=suspect_index,
-            attempt=state.attempts[suspect_index],
-            final=not retrying,
-        )
-        if retrying:
-            delay = policy.delay(state.attempts[suspect_index])
-            state.report.record(
-                state.now(), "retry", index=suspect_index, delay=round(delay, 3)
-            )
-            schedule([(suspect_index, suspect_point)], delay)
-        schedule(unreported[1:])
-
-    try:
-        while pending or any(w.chunk is not None for w in live.values()):
-            now = state.now()
-            if state.deadline_expired():
-                # Deadline passed: fail everything still queued without
-                # dispatching a single worker, and kill workers mid-
-                # chunk — reap() classifies their unfinished points as
-                # deadline-exceeded timeouts.
-                for chunk in pending:
-                    for index, point in chunk.pairs:
-                        state.point_deadline(index, point)
-                pending.clear()
-                for worker in live.values():
-                    if worker.chunk is not None and not worker.killed:
-                        worker.killed = True
-                        worker.proc.kill()
-            # Dispatch every eligible chunk: reuse an idle warm worker,
-            # spawn a fresh one only while the pool is below *jobs*.
-            # Affinity rules keep each trace loaded by as few workers as
-            # possible: an idle worker first takes a chunk whose trace
-            # it already holds, then a group no pool member has touched
-            # (so concurrent workers warm *different* traces instead of
-            # racing to synthesize the same one), then anything left.
-            while True:
-                eligible = [c for c in pending if c.not_before <= now]
-                if not eligible:
-                    break
-                worker = next(
-                    (
-                        w
-                        for w in live.values()
-                        if w.chunk is None
-                        and not w.eof
-                        and not w.killed
-                        and not w.retiring
-                    ),
-                    None,
-                )
-                if worker is None:
-                    if not free_slots:
-                        break
-                    worker = spawn()
-                pool_groups = set()
-                for w in live.values():
-                    pool_groups |= w.groups
-                chunk = next(
-                    (
-                        c
-                        for candidates in (
-                            [c for c in eligible if _chunk_group(c) in worker.groups],
-                            [c for c in eligible if _chunk_group(c) not in pool_groups],
-                            eligible,
-                        )
-                        for c in sorted(candidates, key=lambda c: c.chunk_id)
-                    ),
-                )
-                pending.remove(chunk)
-                if not assign(worker, chunk):
-                    # Pipe already dead: the reap below respawns capacity
-                    # and the chunk goes back in the queue untouched.
-                    pending.append(chunk)
-                    break
-            if not live:
-                if not pending:
-                    # Deadline expiry just drained the whole queue with
-                    # no worker ever spawned: re-check the loop guard.
-                    continue
-                # Everything is waiting out a backoff delay.
-                wake = min(chunk.not_before for chunk in pending)
-                time.sleep(min(max(wake - state.now(), 0.0), 0.5) + 0.001)
-                continue
-            # Message arrival (and pipe EOF on worker death) wakes the
-            # wait immediately; the timeout only paces backoff wakeups
-            # and hang detection, so relax it when neither is armed.
-            busy = any(w.chunk is not None for w in live.values())
-            armed = allowance is not None or state.deadline is not None
-            poll = 0.05 if (pending or (armed and busy)) else 0.25
-            ready = mp_connection.wait(list(live), timeout=poll)
-            for conn in ready:
-                worker = live[conn]
-                while True:
-                    try:
-                        if not conn.poll():
-                            break
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        worker.eof = True
-                        break
-                    worker.last_msg = state.now()
-                    handle_message(worker, msg)
-            now = state.now()
-            for conn, worker in list(live.items()):
-                if worker.eof or not worker.proc.is_alive():
-                    reap(conn, worker)
-                elif (
-                    allowance is not None
-                    and worker.chunk is not None
-                    and not worker.killed
-                    and now - worker.last_msg > allowance
-                ):
-                    worker.killed = True
-                    worker.proc.kill()
-        # All work done: shut the idle pool down and fold its counters.
-        for worker in live.values():
-            try:
-                worker.conn.send(None)
-            except Exception:
-                pass
-        deadline = time.monotonic() + 5
-        while live:
-            for conn, worker in list(live.items()):
-                if worker.eof or not worker.proc.is_alive():
-                    reap(conn, worker)
-                elif time.monotonic() > deadline:
-                    worker.proc.kill()
-                    reap(conn, worker)
-            if live:
-                time.sleep(0.005)
-    except KeyboardInterrupt:
-        state.report.interrupted = True
-        for worker in live.values():
-            try:
-                worker.proc.kill()
-            except Exception:
-                pass
-        for worker in live.values():
-            worker.proc.join(timeout=5)
-        for conn in list(live):
-            conn.close()
-    return state.finish()
-
-
 def run_points(
     points: Sequence[SweepPoint],
     jobs: int = 1,
@@ -1190,7 +644,6 @@ def run_points(
     journal: Optional[SweepJournal] = None,
     resume: bool = False,
     batch: Optional[int] = None,
-    recycle: int = 0,
     on_outcome: Optional[Callable[[PointOutcome], None]] = None,
     deadline: Optional[float] = None,
     dispatch: Optional[str] = None,
@@ -1198,18 +651,20 @@ def run_points(
     """Execute every point; results are positionally ordered like *points*.
 
     ``jobs=1`` runs serially in-process. ``jobs=0`` auto-detects the
-    CPU count (:func:`resolve_jobs`). ``jobs>1`` fans chunks across
-    worker processes; because each point is an independent deterministic
-    simulation and results are reassembled by index, the output is
-    bit-identical to the serial run. *batch* caps the chunk size
-    explicitly (points per worker dispatch); *recycle* > 0 retires each
-    worker process after that many dispatched points and respawns on
-    demand.
+    CPU count (:func:`resolve_jobs`). ``jobs>1`` starts a private
+    coordinator on loopback plus *jobs* forked worker sessions that
+    inherit this process's disk cache and corpus root, drains the points
+    through it, and kills the sessions when the call returns; because
+    each point is an independent deterministic simulation and results
+    are reassembled by index, the output is bit-identical to the serial
+    run. The sessions' disk-cache hit/miss counters are folded into this
+    process's :class:`DiskCache`. *batch* caps the lease size
+    explicitly (points per worker dispatch).
 
     Resilience (``docs/robustness.md``): failures are retried with
     exponential backoff up to ``policy.max_retries`` (crashed/hung
     workers included — the poison point is pinpointed and quarantined so
-    its chunk-mates survive). With ``strict=True`` (default) the return
+    its lease-mates survive). With ``strict=True`` (default) the return
     value is a plain ``List[SimResult]`` and a :class:`SweepError` is
     raised if any point still fails after retries — completed work is
     preserved in the report, the disk cache and the journal. With
@@ -1233,8 +688,8 @@ def run_points(
     plumbing (``X-Deadline-Ms`` / job ``timeout_s``), layered on the
     per-point ``RetryPolicy.timeout`` machinery, not replacing it.
 
-    *dispatch* selects a remote execution fabric instead of the local
-    backends: ``"dist://host:port"`` drains the points through the
+    *dispatch* selects a remote execution fabric instead of local
+    sessions: ``"dist://host:port"`` drains the points through the
     work-stealing coordinator listening there (started in-process on
     demand; ``repro-sim worker`` processes connect and execute). All
     resilience semantics above — retries, taxonomy, journal/resume,
@@ -1251,52 +706,41 @@ def run_points(
                     "dispatch=dist:// (artifacts would land on remote "
                     "workers); run observed points locally"
                 )
-        from repro.dist.coordinator import run_dist
-
-        state = _SweepState(
-            points, policy or DEFAULT_POLICY, journal, resume, on_outcome,
-            deadline,
-        )
-        report = (
-            run_dist(state, dispatch, batch) if state.pairs else state.finish()
-        )
-        if strict:
-            if report.interrupted:
-                raise KeyboardInterrupt
-            if report.failures:
-                raise SweepError(report)
-            return report.results
-        return report
     jobs = resolve_jobs(jobs)
     # A deadline must be able to preempt a *running* point, which only
-    # the process pool can do (kill the worker); in-process serial
-    # execution enforces it between points only. So with a deadline and
-    # jobs > 1, even a single point goes through the pool.
-    if jobs == 1 or (len(points) <= 1 and deadline is None):
-        if (
-            strict
-            and policy is None
-            and journal is None
-            and not resume
-            and on_outcome is None
-            and deadline is None
-        ):
-            # Legacy fast path: zero resilience overhead.
-            return [execute_point(point) for point in points]
-        state = _SweepState(
-            points, policy or DEFAULT_POLICY, journal, resume, on_outcome,
-            deadline,
-        )
-        report = _run_serial_resilient(state) if state.pairs else state.finish()
+    # a worker process can offer (kill it); in-process serial execution
+    # enforces it between points only. So with a deadline and jobs > 1,
+    # even a single point goes to a worker session.
+    serial = dispatch is None and (
+        jobs == 1 or (len(points) <= 1 and deadline is None)
+    )
+    if (
+        serial
+        and strict
+        and policy is None
+        and journal is None
+        and not resume
+        and on_outcome is None
+        and deadline is None
+    ):
+        # Legacy fast path: zero resilience overhead.
+        return [execute_point(point) for point in points]
+    state = _SweepState(
+        points, policy or DEFAULT_POLICY, journal, resume, on_outcome, deadline
+    )
+    if not state.pairs:
+        report = state.finish()
+    elif serial:
+        report = _run_serial_resilient(state)
     else:
-        state = _SweepState(
-            points, policy or DEFAULT_POLICY, journal, resume, on_outcome,
-            deadline,
-        )
+        # Imported here: the coordinator pulls in asyncio, which the
+        # serial path (and ``import repro.cli``) never needs.
+        from repro.dist.coordinator import run_dist, run_local
+
         report = (
-            _run_parallel_resilient(state, jobs, batch, recycle)
-            if state.pairs
-            else state.finish()
+            run_dist(state, dispatch, batch)
+            if dispatch is not None
+            else run_local(state, jobs, batch)
         )
     if strict:
         if report.interrupted:

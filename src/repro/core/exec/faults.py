@@ -14,7 +14,7 @@ Spec grammar (entries separated by ``;``, first matching rule wins)::
     entry            = kind ':' selector [':' attempts]
     kind             = raise | hang | kill | corrupt      (process faults)
                      | drop | delay | disconnect          (network faults,
-                                                           dist workers only)
+                                                           worker sessions only)
     selector         = '*'                 every point
                      | 'mod<k>=<r>'        stable_hash(point) % k == r
                      | <substring>         of "<config label>|<workload>|..."
@@ -24,7 +24,7 @@ Examples::
 
     raise:db_oltp:2        db_oltp points raise on their first 2 attempts
     kill:mod5=0            ~20% of points SIGKILL their worker once
-    hang:*:1               every point hangs once (parent timeout kills it)
+    hang:*:1               every point hangs once (the lease timeout kills it)
 
 Attempt counting must survive worker deaths, so it lives on disk: each
 execution attempt of a matching point claims a sentinel file (atomic
@@ -32,7 +32,7 @@ execution attempt of a matching point claims a sentinel file (atomic
 directory under the system temp dir). Faults therefore trigger on
 exactly the first N attempts regardless of which process runs the point.
 
-Fault kinds ``hang`` and ``kill`` need a parent to recover from them —
+Fault kinds ``hang`` and ``kill`` need a coordinator to recover from them —
 use ``jobs >= 2``; in a serial sweep a ``kill`` takes down the whole
 process (exactly like a real SIGKILL would) and a ``hang`` sleeps out
 ``REPRO_FAULT_HANG_S`` (default 3600 s) before raising.

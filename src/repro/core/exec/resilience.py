@@ -87,11 +87,11 @@ class RetryPolicy:
     """Retry/backoff/timeout policy for resilient sweeps.
 
     ``max_retries`` bounds *re*-tries: a point is attempted at most
-    ``max_retries + 1`` times. ``timeout`` is the soft per-point
-    wall-clock budget in seconds (``None`` disables deadlines entirely);
-    workers check it between points, and the parent kills a worker that
-    goes silent past :meth:`allowance`. Retries are re-dispatched after
-    exponential backoff: ``backoff * 2**(attempts-1)``, capped.
+    ``max_retries + 1`` times. ``timeout`` is the per-point wall-clock
+    budget in seconds (``None`` disables it entirely): the coordinator
+    kills a worker whose lease reports no outcome for :meth:`allowance`
+    seconds. Retries are re-dispatched after exponential backoff:
+    ``backoff * 2**(attempts-1)``, capped.
     """
 
     max_retries: int = 2
@@ -104,7 +104,7 @@ class RetryPolicy:
         return min(self.backoff_cap, self.backoff * (2 ** max(0, attempts - 1)))
 
     def allowance(self) -> Optional[float]:
-        """Parent-side silence budget before a worker is presumed hung."""
+        """Lease silence budget before a worker is presumed hung."""
         if self.timeout is None:
             return None
         return self.timeout + max(2.0, self.timeout)
@@ -126,7 +126,6 @@ COUNTER_NAMES = (
     "worker_crashes",
     "cache_corrupt",
     "resumed",
-    "deferred",
     "deadline_exceeded",
 )
 

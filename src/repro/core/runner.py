@@ -11,7 +11,7 @@ baseline normalizes everything), so results go through two cache layers:
   *invocations* skip both simulation and trace synthesis.
 
 ``run_suite`` and ``compare_to_baseline`` accept ``jobs=N`` to fan the
-independent (config, workload) points across a process pool; parallel
+independent (config, workload) points across worker processes; parallel
 results are bit-identical to serial and come back in the same order
 (see :func:`repro.core.exec.run_points`).
 
@@ -79,7 +79,7 @@ def run_suite(
 ) -> List[SimResult]:
     """Simulate *config* across the workload suite.
 
-    ``jobs>1`` runs the missing points on a process pool; the returned
+    ``jobs>1`` runs the missing points on worker processes; the returned
     list is ordered by workload regardless of *jobs* and bit-identical
     to the serial run. *policy* configures retries/timeouts for the
     fanned-out points (see ``docs/robustness.md``).
@@ -149,7 +149,7 @@ def compare_to_baseline(
     divided by the baseline's IPC on the same workload.
 
     With ``jobs>1`` every missing (config, workload) point — baseline
-    included — is fanned out at once, maximizing pool utilization.
+    included — is fanned out at once, maximizing worker utilization.
     """
     configs = list(configs)
     names = _suite_names(workloads)
@@ -185,7 +185,6 @@ def sweep_compare(
     resume: bool = False,
     strict: bool = True,
     batch: Optional[int] = None,
-    recycle: int = 0,
     dispatch: Optional[str] = None,
 ) -> Tuple[List[ComparedConfig], SweepReport, List[str]]:
     """Fault-tolerant sweep + comparison: the ``repro-sim sweep`` engine.
@@ -225,7 +224,6 @@ def sweep_compare(
             journal=journal,
             resume=resume,
             batch=batch,
-            recycle=recycle,
             dispatch=dispatch,
         )
         for key, outcome in zip(missing, report.outcomes):

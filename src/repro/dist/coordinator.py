@@ -1,23 +1,29 @@
 """Work-stealing sweep coordinator (asyncio TCP, thread-hosted).
 
-The coordinator owns the point queue of the active sweep and drives the
-exact resilience machinery the local engine uses — the same
-:class:`~repro.core.exec.engine._SweepState` records retries, taxonomy
-counters, journal checkpoints and report events, so a dead or
-partitioned *remote* worker is handled identically to a crashed local
-worker process: the first unreported point of its lease is blamed
-(``worker-crash``, consuming one attempt) and its lease-mates are
-re-dispatched blame-free.
+This is the one scheduler behind every parallel sweep: ``run_points``
+with ``jobs > 1`` starts a private coordinator on loopback with that
+many forked local sessions (:func:`run_local`), and ``dispatch=dist://``
+or ``repro-sim serve --dist-listen`` drains onto ``repro-sim worker``
+fleets (:func:`run_dist`). The coordinator owns the point queue of the
+active sweep and records every decision through the engine's
+:class:`~repro.core.exec.engine._SweepState` — retries, taxonomy
+counters, journal checkpoints and report events. A dead or partitioned
+worker has the first unreported point of its lease blamed
+(``worker-crash``, consuming one attempt) and its lease-mates
+re-dispatched blame-free; a lease that stays silent past
+``policy.allowance()`` is a ``timeout_kill`` (an owned local session is
+SIGKILLed, a remote one has its connection closed).
 
 Dispatch is pull-based work stealing: idle workers request leases; when
 the queue is empty but another worker still holds unstarted points, the
 coordinator revokes the tail half of the victim's lease and hands it to
 the thief. Workers stream one outcome frame per point, so progress is
-never lost in batch granularity.
+never lost in batch granularity; each frame also carries the worker's
+disk-cache counters, folded into this process's :class:`DiskCache`.
 
 The asyncio event loop runs in a dedicated daemon thread; ``execute``
 blocks the calling thread (the engine or the service executor) until
-the sweep completes, exactly like the local backends.
+the sweep completes.
 """
 from __future__ import annotations
 
@@ -30,7 +36,6 @@ from math import ceil
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.exec.engine import SweepPoint, get_disk_cache, point_key
-from ..core.exec.engine import _SweepState  # noqa: F401  (typing/reuse)
 from .protocol import (
     DIST_SCHEMA,
     ConnectionClosed,
@@ -87,7 +92,7 @@ WORKER_COUNTER_NAMES = (
 class _QueuedPoint:
     index: int
     point: SweepPoint
-    not_before: float = 0.0  # state.now() instant, like _PendingChunk
+    not_before: float = 0.0  # state.now() instant of its earliest dispatch
 
 
 def _group(point: SweepPoint) -> Tuple[str, int, int]:
@@ -100,6 +105,9 @@ class _Lease:
     run: "_Run"
     pairs: List[Tuple[int, SweepPoint]]
     reported: Set[int] = field(default_factory=set)
+    #: ``time.monotonic()`` of the grant or of the lease's latest
+    #: outcome; silence past ``policy.allowance()`` is a hang.
+    last_progress: float = field(default_factory=time.monotonic)
 
 
 @dataclass
@@ -113,17 +121,28 @@ class _Remote:
     groups: Set[Tuple[str, int, int]] = field(default_factory=set)
     leases: Dict[int, _Lease] = field(default_factory=dict)
     closed: bool = False
+    #: Per-session index (lowest free among connected workers): the
+    #: ``slot`` of its report events, i.e. its ``worker-<slot>`` track.
+    slot: int = 0
+    #: Latest disk-cache counter snapshot the worker reported.
+    disk: Dict[str, int] = field(default_factory=dict)
 
 
 class _Run:
     """One sweep being drained onto the fleet."""
 
-    def __init__(self, state, batch: Optional[int]) -> None:
+    def __init__(self, state, batch: Optional[int], fleet=None) -> None:
         self.state = state
         self.batch = batch
+        #: The :class:`~repro.dist.worker.SessionFleet` this run owns
+        #: (``None`` for a shared fleet of ``repro-sim worker``s).
+        self.fleet = fleet
         self.pending: List[_QueuedPoint] = [
             _QueuedPoint(index, point) for index, point in state.pairs
         ]
+        #: Points queued at the start: sizes every lease, so a trace
+        #: group is split only when the whole sweep calls for it.
+        self.total = len(self.pending)
         self.done = threading.Event()
         self.aborted = False
 
@@ -216,22 +235,30 @@ class Coordinator:
         snap["workers_live"] = len(self._workers)
         return snap
 
-    def execute(self, state, batch: Optional[int] = None):
+    def execute(self, state, batch: Optional[int] = None, fleet=None):
         """Drain *state*'s pending points onto the fleet; blocks until done.
 
-        Returns the assembled :class:`SweepReport` via ``state.finish()``.
-        KeyboardInterrupt aborts the run (report marked interrupted),
-        matching the local backends' contract.
+        With *fleet* (a :class:`~repro.dist.worker.SessionFleet` aimed at
+        this coordinator) the run owns those sessions: they are spawned
+        after the run begins (so none idles through a "no run" grant),
+        respawned if they die, and stopped when the run ends. A run that
+        is already complete on arrival (an expired deadline) spawns
+        nothing. Returns the assembled :class:`SweepReport` via
+        ``state.finish()``. KeyboardInterrupt aborts the run (report
+        marked interrupted), matching the serial path's contract.
         """
         self.start()
         with self._run_lock:
-            run = _Run(state, batch)
+            run = _Run(state, batch, fleet)
             asyncio.run_coroutine_threadsafe(
                 self._begin(run), self._loop
             ).result(timeout=30)
             try:
-                while not run.done.wait(0.2):
-                    pass
+                if fleet is not None and not run.done.is_set():
+                    fleet.start()
+                while not run.done.wait(0.05):
+                    if fleet is not None:
+                        fleet.poll()
             except KeyboardInterrupt:
                 try:
                     asyncio.run_coroutine_threadsafe(
@@ -240,6 +267,9 @@ class Coordinator:
                 except Exception:
                     pass
                 state.report.interrupted = True
+            finally:
+                if fleet is not None:
+                    fleet.stop()
             return state.finish()
 
     # -- event loop ----------------------------------------------------------
@@ -269,14 +299,17 @@ class Coordinator:
             await self._stop_event.wait()
         finally:
             monitor.cancel()
-            server.close()
-            await server.wait_closed()
+            # Connections first: from Python 3.12 wait_closed() also
+            # waits for every open connection.
             for remote in list(self._workers.values()):
                 self._close_remote(remote)
+            server.close()
+            await server.wait_closed()
 
     async def _monitor(self) -> None:
-        """Declare silent workers lost; enforce the sweep deadline."""
-        tick = max(0.25, min(1.0, self.hb_timeout / 4))
+        """Declare silent workers lost, kill hung leases, enforce the
+        sweep deadline."""
+        tick = 0.25
         while True:
             await asyncio.sleep(tick)
             now = time.monotonic()
@@ -289,6 +322,7 @@ class Coordinator:
             run = self._run
             if run is not None:
                 self._enforce_deadline(run)
+                self._enforce_allowance(run, now)
                 self._maybe_finish(run)
 
     # -- run lifecycle (loop thread) -----------------------------------------
@@ -302,6 +336,7 @@ class Coordinator:
             queued=len(run.pending),
             workers=len(self._workers),
         )
+        self._enforce_deadline(run)
         self._maybe_finish(run)
 
     async def _abort(self, run: _Run) -> None:
@@ -315,6 +350,13 @@ class Coordinator:
         if run.done.is_set():
             return
         if run.complete():
+            # Close the run's leases still open (their lease_done frames
+            # may land after the last outcome) so every chunk_start has
+            # its chunk_end.
+            for remote in list(self._workers.values()):
+                for lease in list(remote.leases.values()):
+                    if lease.run is run:
+                        self._end_lease(remote, lease)
             run.state.report.record(run.state.now(), "dist_end")
             if self._run is run:
                 self._run = None
@@ -322,9 +364,9 @@ class Coordinator:
 
     def _enforce_deadline(self, run: _Run) -> None:
         """Past the sweep deadline, fail everything still open fast —
-        queued points and unreported leased points alike — mirroring the
-        local pool's kill-and-classify behaviour (we cannot kill a remote
-        worker, so its late outcomes are simply ignored)."""
+        queued points and unreported leased points alike. That completes
+        the run, so an owned fleet is killed as ``execute`` returns; a
+        remote worker cannot be killed, its late outcomes are ignored."""
         if run.done.is_set() or not run.state.deadline_expired():
             return
         for qp in run.pending:
@@ -337,6 +379,28 @@ class Coordinator:
                 for index, point in lease.pairs:
                     if index not in lease.reported:
                         run.state.point_deadline(index, point)
+
+    def _enforce_allowance(self, run: _Run, now: float) -> None:
+        """Kill leases silent past ``policy.allowance()``: the point at
+        their head is hung. It is blamed as a ``timeout``; an owned
+        session is SIGKILLed, a remote one has its connection closed
+        (heartbeats keep a hung worker's connection alive, so only the
+        lease's own outcomes count as progress)."""
+        allowance = run.state.policy.allowance()
+        if allowance is None or run.done.is_set():
+            return
+        for remote in list(self._workers.values()):
+            for lease in list(remote.leases.values()):
+                if lease.run is not run or now - lease.last_progress <= allowance:
+                    continue
+                self._blame_lease(
+                    remote, lease, "timeout",
+                    f"worker {remote.worker_id} killed after "
+                    f"{allowance:.1f}s without an outcome",
+                    "timeout_kill",
+                )
+                if run.fleet is None or not run.fleet.kill(remote.caps.get("pid")):
+                    self._close_remote(remote)
 
     def _requeue(self, run: _Run, pairs, delay: float = 0.0) -> None:
         now = run.state.now()
@@ -366,12 +430,14 @@ class Coordinator:
                 return
             self._next_client += 1
             worker_id = f"{msg.get('worker') or 'worker'}#{self._next_client}"
+            taken = {other.slot for other in self._workers.values()}
             remote = _Remote(
                 worker_id=worker_id,
                 writer=writer,
                 wlock=asyncio.Lock(),
                 last_msg=time.monotonic(),
                 caps=dict(msg.get("caps") or {}),
+                slot=min(set(range(len(taken) + 1)) - taken),
             )
             self._workers[worker_id] = remote
             self._counters["workers_total"] += 1
@@ -385,9 +451,8 @@ class Coordinator:
                 msg, _blob = await read_frame(reader)
                 remote.last_msg = time.monotonic()
                 t = msg.get("t")
+                self._note_counters(remote, msg)
                 if t == "lease":
-                    if msg.get("counters"):
-                        remote.counters = dict(msg["counters"])
                     await self._grant(remote, msg)
                 elif t == "ok":
                     self._handle_ok(remote, msg)
@@ -396,7 +461,7 @@ class Coordinator:
                 elif t == "lease_done":
                     self._handle_lease_done(remote, msg)
                 elif t == "hb":
-                    remote.counters = dict(msg.get("counters") or {})
+                    pass  # liveness (and counters) only
                 elif t == "fetch_manifest":
                     await self._serve_manifest(remote, msg)
                 elif t == "fetch_shard":
@@ -435,6 +500,21 @@ class Coordinator:
         async with remote.wlock:
             await write_frame(remote.writer, msg, blob)
 
+    def _note_counters(self, remote: _Remote, msg: Dict) -> None:
+        """Adopt the counters a frame carries; fold the growth of the
+        worker's disk-cache counters into this process's cache."""
+        if msg.get("counters"):
+            remote.counters = dict(msg["counters"])
+        snap = msg.get("disk")
+        if not snap:
+            return
+        disk = get_disk_cache()
+        if disk is not None:
+            disk.merge_counters(
+                {k: int(v) - remote.disk.get(k, 0) for k, v in snap.items()}
+            )
+        remote.disk = {k: int(v) for k, v in snap.items()}
+
     def _close_remote(self, remote: _Remote) -> None:
         remote.closed = True
         try:
@@ -467,66 +547,89 @@ class Coordinator:
                 reason=reason,
             )
         for lease in list(remote.leases.values()):
-            remote.leases.pop(lease.lease_id, None)
-            lrun = lease.run
-            if lrun is not self._run or lrun is None or lrun.done.is_set():
-                continue
-            state = lrun.state
-            unreported = [
-                (index, point)
-                for index, point in lease.pairs
-                if index not in lease.reported and index not in state.outcomes
-            ]
-            if not unreported:
-                continue
-            if state.deadline_expired():
-                for index, point in unreported:
-                    state.point_deadline(index, point)
-                continue
-            if clean:
-                self._requeue(lrun, unreported)
-                continue
-            suspect_index, suspect_point = unreported[0]
-            retrying = state.point_failed(
-                suspect_index,
-                suspect_point,
-                "worker-crash",
-                f"worker {remote.worker_id} lost mid-point ({reason})",
-            )
-            state.report.record(
-                state.now(),
-                "worker_crash",
-                worker=remote.worker_id,
-                index=suspect_index,
-                attempt=state.attempts[suspect_index],
-                final=not retrying,
-            )
-            if retrying:
-                delay = state.policy.delay(state.attempts[suspect_index])
-                state.report.record(
-                    state.now(), "retry", index=suspect_index,
-                    delay=round(delay, 3),
+            if lease.run is not self._run or lease.run.done.is_set():
+                remote.leases.pop(lease.lease_id, None)
+            elif clean:
+                self._end_lease(remote, lease)
+                self._requeue(lease.run, self._unreported(lease))
+            else:
+                self._blame_lease(
+                    remote, lease, "worker-crash",
+                    f"worker {remote.worker_id} lost mid-point ({reason})",
+                    "worker_crash",
                 )
-                self._requeue(lrun, [(suspect_index, suspect_point)], delay)
-            self._requeue(lrun, unreported[1:])
         self._close_remote(remote)
         if run is not None:
+            self._enforce_deadline(run)
             self._maybe_finish(run)
+
+    # -- lease endings ----------------------------------------------------------
+
+    @staticmethod
+    def _unreported(lease: _Lease) -> List[Tuple[int, SweepPoint]]:
+        outcomes = lease.run.state.outcomes
+        return [
+            (index, point)
+            for index, point in lease.pairs
+            if index not in lease.reported and index not in outcomes
+        ]
+
+    def _end_lease(self, remote: _Remote, lease: _Lease) -> None:
+        remote.leases.pop(lease.lease_id, None)
+        lease.run.state.report.record(
+            lease.run.state.now(), "chunk_end",
+            slot=remote.slot, chunk=lease.lease_id,
+        )
+
+    def _blame_lease(
+        self, remote: _Remote, lease: _Lease, kind: str, message: str,
+        event: str,
+    ) -> None:
+        """End a lease whose worker died or hung mid-point.
+
+        The first unreported point is the one that was executing: it is
+        blamed (*kind*, consuming one attempt) and retried after backoff;
+        the rest are requeued blame-free. Past the sweep deadline every
+        unreported point fails as deadline-exceeded instead.
+        """
+        run = lease.run
+        state = run.state
+        self._end_lease(remote, lease)
+        unreported = self._unreported(lease)
+        if not unreported:
+            return
+        if state.deadline_expired():
+            for index, point in unreported:
+                state.point_deadline(index, point)
+            return
+        suspect_index, suspect_point = unreported[0]
+        retrying = state.point_failed(suspect_index, suspect_point, kind, message)
+        state.report.record(
+            state.now(),
+            event,
+            worker=remote.worker_id,
+            slot=remote.slot,
+            chunk=lease.lease_id,
+            index=suspect_index,
+            attempt=state.attempts[suspect_index],
+            final=not retrying,
+        )
+        if retrying:
+            delay = state.policy.delay(state.attempts[suspect_index])
+            state.report.record(
+                state.now(), "retry", index=suspect_index, delay=round(delay, 3)
+            )
+            self._requeue(run, [(suspect_index, suspect_point)], delay)
+        self._requeue(run, unreported[1:])
 
     # -- dispatch ------------------------------------------------------------
 
     async def _grant(self, remote: _Remote, msg: Dict) -> None:
         run = self._run
+        if run is not None:
+            self._enforce_deadline(run)
+            self._maybe_finish(run)
         if run is None or run.done.is_set():
-            await self._send(
-                remote,
-                {"t": "grant", "lease": None, "points": [],
-                 "retry_ms": IDLE_RETRY_MS * 2, "active": False},
-            )
-            return
-        self._enforce_deadline(run)
-        self._maybe_finish(run)
-        if run.done.is_set():
             await self._send(
                 remote,
                 {"t": "grant", "lease": None, "points": [],
@@ -570,9 +673,10 @@ class Coordinator:
         self._counters["points_leased"] += len(take)
         state.report.record(
             state.now(),
-            "lease_grant",
+            "chunk_start",
             worker=remote.worker_id,
-            lease=lease.lease_id,
+            slot=remote.slot,
+            chunk=lease.lease_id,
             points=len(take),
         )
         await self._send(
@@ -598,12 +702,15 @@ class Coordinator:
     ) -> List[Tuple[int, SweepPoint]]:
         """Select one trace-group's worth of points for a lease.
 
-        Mirrors the local pool: points are ordered so configs sharing a
-        batch-plan geometry land adjacent, leases never mix trace groups,
-        and group affinity keeps each trace materialized on as few
-        workers as possible (prefer a group this worker already holds,
-        then a group no fleet member has touched, then anything).
+        Points are ordered so configs sharing a batch-plan geometry land
+        adjacent, leases never mix trace groups, and group affinity
+        keeps each trace materialized on as few workers as possible
+        (prefer a group this worker already holds, then a group no fleet
+        member has touched, then anything). A lease holds at most
+        ``batch`` points, else a quarter of the sweep's per-worker share.
         """
+        if not eligible:
+            return []
         eligible = sorted(
             eligible,
             key=lambda qp: (
@@ -635,8 +742,8 @@ class Coordinator:
         if run.batch is not None:
             bound = max(1, int(run.batch))
         else:
-            live = max(1, len(self._workers))
-            bound = max(1, ceil(len(eligible) / (live * 4)))
+            live = max(1, len(self._workers), run.fleet.jobs if run.fleet else 0)
+            bound = max(1, ceil(run.total / (live * 4)))
         if requested_max > 0:
             bound = min(bound, requested_max)
         return [(qp.index, qp.point) for qp in in_group[:bound]]
@@ -646,9 +753,12 @@ class Coordinator:
     ) -> List[Tuple[int, SweepPoint]]:
         """Revoke the tail half of the fattest lease's unstarted points.
 
-        The first unreported point of a lease is (potentially) executing
-        and is never stolen; only points the victim has not reached yet
-        move. The victim learns via a ``revoke`` push and skips them.
+        Only points the victim has surely not reached move: a lease is
+        stolen from once it has reported an outcome (so its trace is
+        already loaded and cached), and its first two unreported points
+        stay (the head may be executing, and so may the next one while
+        the head's outcome frame is still in flight). The victim learns
+        via a ``revoke`` push and skips them.
         """
         best: Optional[Tuple[_Remote, _Lease, List[Tuple[int, SweepPoint]]]] = None
         for remote in self._workers.values():
@@ -657,14 +767,9 @@ class Coordinator:
             for lease in remote.leases.values():
                 if lease.run is not run:
                     continue
-                unstarted = [
-                    (index, point)
-                    for index, point in lease.pairs
-                    if index not in lease.reported
-                    and index not in run.state.outcomes
-                ]
-                # Drop the head: that point may be executing right now.
-                unstarted = unstarted[1:]
+                if not lease.reported:
+                    continue
+                unstarted = self._unreported(lease)[2:]
                 if not unstarted:
                     continue
                 if best is None or len(unstarted) > len(best[2]):
@@ -725,35 +830,38 @@ class Coordinator:
 
     # -- outcome handling ----------------------------------------------------
 
-    def _lease_for(self, remote: _Remote, msg: Dict) -> Optional[_Lease]:
+    def _claim(self, remote: _Remote, msg: Dict):
+        """``(lease, index, point)`` an outcome frame reports, or ``None``
+        (counted as a duplicate) when the lease or point is no longer
+        live — stolen, timed out, resolved elsewhere, or of a past run."""
         lease = remote.leases.get(msg.get("lease"))
         if lease is None or lease.run is not self._run:
-            return None
-        return lease
-
-    def _handle_ok(self, remote: _Remote, msg: Dict) -> None:
-        remote.counters = dict(msg.get("counters") or remote.counters)
-        lease = self._lease_for(remote, msg)
-        if lease is None:
             self._counters["outcomes_duplicate"] += 1
-            return
-        run = lease.run
-        state = run.state
+            return None
         index = int(msg["index"])
         lease.reported.add(index)
-        if index in state.outcomes:
-            self._counters["outcomes_duplicate"] += 1
-            return
+        lease.last_progress = time.monotonic()
         point = next((p for i, p in lease.pairs if i == index), None)
-        if point is None:
+        if point is None or index in lease.run.state.outcomes:
             self._counters["outcomes_duplicate"] += 1
+            return None
+        return lease, index, point
+
+    def _handle_ok(self, remote: _Remote, msg: Dict) -> None:
+        claim = self._claim(remote, msg)
+        if claim is None:
             return
+        lease, index, point = claim
+        state = lease.run.state
         result = result_from_wire(msg["result"])
         disk = get_disk_cache()
         if disk is not None:
             # Persist like a locally executed point: --resume and the
-            # service result cache must not care where a point ran.
-            disk.store_result(point_key(point), result)
+            # service result cache must not care where a point ran. A
+            # worker sharing this cache has already written the entry.
+            key = point_key(point)
+            if not disk.result_path(key).exists():
+                disk.store_result(key, result)
         state.point_succeeded(index, point, result, float(msg.get("seconds", 0.0)))
         self._counters["outcomes_ok"] += 1
         state.report.record(
@@ -761,32 +869,23 @@ class Coordinator:
             "point_ok",
             index=index,
             worker=remote.worker_id,
+            slot=remote.slot,
             attempt=state.attempts[index],
         )
-        self._maybe_finish(run)
+        self._maybe_finish(lease.run)
 
     def _handle_err(self, remote: _Remote, msg: Dict) -> None:
-        remote.counters = dict(msg.get("counters") or remote.counters)
-        lease = self._lease_for(remote, msg)
-        if lease is None:
-            self._counters["outcomes_duplicate"] += 1
+        claim = self._claim(remote, msg)
+        if claim is None:
             return
-        run = lease.run
-        state = run.state
-        index = int(msg["index"])
-        lease.reported.add(index)
-        if index in state.outcomes:
-            self._counters["outcomes_duplicate"] += 1
-            return
-        point = next((p for i, p in lease.pairs if i == index), None)
-        if point is None:
-            self._counters["outcomes_duplicate"] += 1
-            return
+        lease, index, point = claim
+        state = lease.run.state
+        kind = str(msg.get("kind", "exception"))
         self._counters["outcomes_err"] += 1
         retrying = state.point_failed(
             index,
             point,
-            str(msg.get("kind", "exception")),
+            kind,
             str(msg.get("message", "")),
             str(msg.get("traceback", "")),
         )
@@ -795,7 +894,8 @@ class Coordinator:
             "point_error",
             index=index,
             worker=remote.worker_id,
-            error=str(msg.get("kind", "exception")),
+            slot=remote.slot,
+            error=kind,
             attempt=state.attempts[index],
             final=not retrying,
         )
@@ -804,25 +904,23 @@ class Coordinator:
             state.report.record(
                 state.now(), "retry", index=index, delay=round(delay, 3)
             )
-            self._requeue(run, [(index, point)], delay)
-        self._maybe_finish(run)
+            self._requeue(lease.run, [(index, point)], delay)
+        self._maybe_finish(lease.run)
 
     def _handle_lease_done(self, remote: _Remote, msg: Dict) -> None:
-        remote.counters = dict(msg.get("counters") or remote.counters)
-        lease = remote.leases.pop(msg.get("lease"), None)
-        if lease is None or lease.run is not self._run:
+        lease = remote.leases.get(msg.get("lease"))
+        if lease is None:
+            return
+        if lease.run is not self._run:
+            remote.leases.pop(lease.lease_id, None)
             return
         run = lease.run
         state = run.state
-        dropped = [
-            (index, point)
-            for index, point in lease.pairs
-            if index not in lease.reported and index not in state.outcomes
-        ]
+        self._end_lease(remote, lease)
+        dropped = self._unreported(lease)
         if dropped and not state.deadline_expired():
             # The worker finished its lease without reporting these
-            # points (lost outcome frames): requeue blame-free, exactly
-            # like a local worker's deferred points.
+            # points (lost outcome frames): requeue blame-free.
             self._counters["outcomes_dropped"] += len(dropped)
             state.report.record(
                 state.now(),
@@ -968,3 +1066,29 @@ def run_dist(state, url: str, batch: Optional[int] = None):
     """Engine entry point: drain *state* through the coordinator at *url*."""
     coord = get_coordinator(url)
     return coord.execute(state, batch=batch)
+
+
+def run_local(state, jobs: int, batch: Optional[int] = None):
+    """Engine entry point for ``run_points(jobs=N)``: drain *state*
+    through a private loopback coordinator onto *jobs* forked sessions.
+
+    The sessions inherit this process's disk cache root and shard flag
+    (and, through the environment, its corpus root); they live for this
+    one call.
+    """
+    from .worker import SessionFleet
+
+    disk = get_disk_cache()
+    coord = Coordinator("127.0.0.1", 0).start()
+    fleet = SessionFleet(
+        coord.address,
+        jobs,
+        "local",
+        cache_root=str(disk.root) if disk is not None else None,
+        cache_enabled=disk is not None,
+        cache_shard=disk.shard if disk is not None else None,
+    )
+    try:
+        return coord.execute(state, batch=batch, fleet=fleet)
+    finally:
+        coord.stop()

@@ -1,15 +1,18 @@
 """Dist worker: lease points, fetch missing content, stream outcomes.
 
-``repro-sim worker --connect tcp://host:port`` runs a small supervisor
-that spawns N session processes (``--jobs``, defaulting to this host's
-own CPU count — never the coordinator's) and respawns any that die
-abnormally, so an injected or real SIGKILL costs one blamed point, not
-fleet capacity. Each session process opens its own coordinator
-connection and loops: request a lease, make sure the trace content the
+A :class:`WorkerSession` is one process holding one coordinator
+connection. It loops: request a lease, make sure the trace content the
 lease references is present locally (fetching missing shards by content
 hash, verify-on-receive), execute the points through the unchanged
-compiled -> interp kernel chain, and stream one outcome frame per
-point.
+compiled -> interp kernel chain, and stream one outcome frame per point
+(each carrying the session's counters and disk-cache counters).
+
+:class:`SessionFleet` runs N sessions as forked child processes and
+respawns any that die abnormally, so an injected or real SIGKILL costs
+one blamed point, not fleet capacity. It serves both ``repro-sim worker
+--connect tcp://host:port`` (``--jobs`` sessions, defaulting to this
+host's own CPU count — never the coordinator's) and ``run_points(jobs=N)``
+(N sessions on a private loopback coordinator, for one call).
 
 Network chaos (``REPRO_FAULT_SPEC`` kinds ``drop``/``delay``/
 ``disconnect``) hooks into the lease loop via
@@ -53,6 +56,9 @@ from .protocol import (
 #: Seconds between heartbeat frames (a quarter of the coordinator's
 #: default heartbeat timeout).
 HB_INTERVAL = 5.0
+
+#: Seconds a connection attempt may take, handshake included.
+CONNECT_TIMEOUT = 10.0
 
 #: Attempts per shard before a fetch gives up (verify-on-receive: a
 #: corrupt blob is discarded and re-requested, never written).
@@ -106,8 +112,12 @@ class WorkerSession:
     # -- connection ----------------------------------------------------------
 
     def _connect(self) -> None:
-        sock = socket.create_connection((self.host, self.port), timeout=10)
-        sock.settimeout(None)
+        # The timeout also covers the welcome: a listening socket that
+        # nobody accepts on (e.g. one a forked sibling still holds after
+        # its coordinator died) must not block the session forever.
+        sock = socket.create_connection(
+            (self.host, self.port), timeout=CONNECT_TIMEOUT
+        )
         try:
             send_frame(
                 sock,
@@ -132,6 +142,7 @@ class WorkerSession:
         if msg.get("t") != "welcome":
             sock.close()
             raise ProtocolError(f"expected welcome, got {msg.get('t')!r}")
+        sock.settimeout(None)
         self.sock = sock
         self._hb_stop = threading.Event()
         self._hb_thread = threading.Thread(
@@ -155,9 +166,17 @@ class WorkerSession:
         while not stop.wait(self.hb_interval):
             try:
                 with self._send_lock:
-                    send_frame(sock, {"t": "hb", "counters": dict(self.counters)})
+                    send_frame(sock, self._with_counters({"t": "hb"}))
             except OSError:
                 return  # main loop will notice on its next socket op
+
+    def _with_counters(self, msg: Dict) -> Dict:
+        """*msg* plus this session's counters and disk-cache counters."""
+        msg["counters"] = dict(self.counters)
+        disk = get_disk_cache()
+        if disk is not None:
+            msg["disk"] = disk.snapshot()
+        return msg
 
     def _send(self, msg: Dict, blob: bytes = b"") -> None:
         with self._send_lock:
@@ -240,8 +259,7 @@ class WorkerSession:
     def _serve(self) -> None:
         while True:
             grant, _ = self._rpc(
-                {"t": "lease", "max": self.lease_max,
-                 "counters": dict(self.counters)},
+                self._with_counters({"t": "lease", "max": self.lease_max}),
                 "grant",
             )
             points = grant.get("points") or []
@@ -273,15 +291,16 @@ class WorkerSession:
                 import traceback as traceback_module
 
                 self._send(
-                    {
-                        "t": "err",
-                        "lease": lease_id,
-                        "index": index,
-                        "kind": _classify_exception(exc),
-                        "message": f"{type(exc).__name__}: {exc}",
-                        "traceback": traceback_module.format_exc(),
-                        "counters": dict(self.counters),
-                    }
+                    self._with_counters(
+                        {
+                            "t": "err",
+                            "lease": lease_id,
+                            "index": index,
+                            "kind": _classify_exception(exc),
+                            "message": f"{type(exc).__name__}: {exc}",
+                            "traceback": traceback_module.format_exc(),
+                        }
+                    )
                 )
                 continue
             self.counters["points_ok"] += 1
@@ -295,20 +314,18 @@ class WorkerSession:
                 self.counters["net_faults"] += 1
                 time.sleep(net_fault_delay())
             self._send(
-                {
-                    "t": "ok",
-                    "lease": lease_id,
-                    "index": index,
-                    "result": result_to_wire(result),
-                    "seconds": time.monotonic() - t0,
-                    "counters": dict(self.counters),
-                }
+                self._with_counters(
+                    {
+                        "t": "ok",
+                        "lease": lease_id,
+                        "index": index,
+                        "result": result_to_wire(result),
+                        "seconds": time.monotonic() - t0,
+                    }
+                )
             )
         self._revoked.pop(lease_id, None)
-        self._send(
-            {"t": "lease_done", "lease": lease_id,
-             "counters": dict(self.counters)}
-        )
+        self._send(self._with_counters({"t": "lease_done", "lease": lease_id}))
 
     # -- content fetch -------------------------------------------------------
 
@@ -439,22 +456,20 @@ def _session_main(
     lease_max: int,
     cache_root: Optional[str],
     cache_enabled: bool,
+    cache_shard: Optional[bool],
     corpus_root: Optional[str],
     retry_window: float,
 ) -> None:
-    # Under the fork start method a session inherits the supervisor's
-    # SIGTERM/SIGINT handler — a bare Event.set that means nothing in
-    # this process and would make terminate() a no-op. Restore the
-    # default disposition so the supervisor can actually stop sessions.
+    # Under the fork start method a session inherits its parent's
+    # SIGTERM/SIGINT handlers — for `repro-sim worker` a bare Event.set
+    # that means nothing in this process and would make the session
+    # ignore those signals. Restore the default dispositions.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
-    if cache_enabled:
-        # Same default as `repro-sim sweep`: the standard cache root
-        # unless --cache-dir / REPRO_DISK_CACHE names another one. The
-        # cache is what makes re-runs of dropped/stolen points instant.
-        configure_disk_cache(enabled=True, root=cache_root)
-    else:
-        configure_disk_cache(enabled=False)
+    # cache_root None with the cache enabled is the standard root, as in
+    # `repro-sim sweep`. The cache is what makes re-runs of dropped or
+    # stolen points instant.
+    configure_disk_cache(enabled=cache_enabled, root=cache_root, shard=cache_shard)
     if corpus_root:
         from ..corpus.resolve import configure_corpus
 
@@ -463,6 +478,90 @@ def _session_main(
         url, worker_id, lease_max=lease_max, retry_window=retry_window
     )
     sys.exit(session.run())
+
+
+class SessionFleet:
+    """*jobs* forked :class:`WorkerSession` processes aimed at *url*.
+
+    :meth:`poll` respawns sessions that died abnormally (an injected or
+    real SIGKILL) and forgets ones that exited cleanly (their
+    connection-retry window expired: the coordinator is gone). Session
+    processes are daemonic, so a normal exit of the parent interpreter
+    terminates them.
+    """
+
+    def __init__(
+        self,
+        url: str,
+        jobs: int,
+        name: str,
+        *,
+        lease_max: int = 0,
+        cache_root: Optional[str] = None,
+        cache_enabled: bool = True,
+        cache_shard: Optional[bool] = None,
+        corpus_root: Optional[str] = None,
+        retry_window: float = 30.0,
+        log=None,
+    ) -> None:
+        self.url = url
+        self.jobs = jobs
+        self.name = name
+        self.log = log
+        self._args = (
+            lease_max, cache_root, cache_enabled, cache_shard, corpus_root,
+            retry_window,
+        )
+        self._ctx = multiprocessing.get_context()
+        self._procs: Dict[int, object] = {}
+
+    def _spawn(self, slot: int) -> None:
+        proc = self._ctx.Process(
+            target=_session_main,
+            args=(self.url, f"{self.name}/{slot}", *self._args),
+            daemon=True,
+        )
+        proc.start()
+        self._procs[slot] = proc
+
+    def start(self) -> None:
+        for slot in range(self.jobs):
+            self._spawn(slot)
+
+    def poll(self) -> bool:
+        """Reap exited sessions, respawning abnormal exits; ``False``
+        once no session remains."""
+        for slot, proc in list(self._procs.items()):
+            if proc.is_alive():
+                continue
+            if proc.exitcode == 0:
+                del self._procs[slot]  # clean exit: coordinator is gone
+                continue
+            if self.log is not None:
+                self.log(
+                    f"repro-dist worker {self.name}/{slot}: session died "
+                    f"(exit {proc.exitcode}), respawning",
+                    flush=True,
+                )
+            self._spawn(slot)
+        return bool(self._procs)
+
+    def kill(self, pid) -> bool:
+        """SIGKILL the session with *pid* if it is one of ours."""
+        for proc in list(self._procs.values()):
+            if proc.pid == pid:
+                proc.kill()
+                return True
+        return False
+
+    def stop(self) -> None:
+        """SIGKILL and reap every session."""
+        procs = list(self._procs.values())
+        self._procs.clear()
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.join(timeout=5)
 
 
 def run_worker(
@@ -476,40 +575,27 @@ def run_worker(
     retry_window: float = 30.0,
     log=print,
 ) -> int:
-    """``repro-sim worker``: supervise *jobs* session processes.
+    """``repro-sim worker``: supervise a :class:`SessionFleet` of *jobs*.
 
-    *jobs* resolution is worker-local by design (the satellite fix):
-    an explicit ``--jobs`` wins, then the **worker host's** own
-    ``REPRO_JOBS``, then this host's CPU count — a coordinator's job
-    count never travels over the wire. Sessions that die abnormally
-    (e.g. an injected SIGKILL) are respawned after a short pause;
-    sessions that exit cleanly (their connection-retry window expired,
-    meaning the coordinator is gone) are not.
+    *jobs* resolution is worker-local by design: an explicit ``--jobs``
+    wins, then the **worker host's** own ``REPRO_JOBS``, then this
+    host's CPU count — a coordinator's job count never travels over the
+    wire. Returns once every session has exited cleanly (the
+    coordinator went away) or on SIGTERM/SIGINT.
     """
     from ..core.exec.engine import resolve_jobs
 
     jobs = resolve_jobs(jobs, default_auto=True)
     name = worker_name or f"{socket.gethostname()}-{os.getpid()}"
-    ctx = multiprocessing.get_context()
-    procs: Dict[int, object] = {}
-    respawns = 0
-
-    def spawn(slot: int) -> None:
-        proc = ctx.Process(
-            target=_session_main,
-            args=(
-                connect,
-                f"{name}/{slot}",
-                lease_max,
-                cache_root,
-                cache_enabled,
-                corpus_root,
-                retry_window,
-            ),
-        )
-        proc.start()
-        procs[slot] = proc
-
+    fleet = SessionFleet(
+        connect, jobs, name,
+        lease_max=lease_max,
+        cache_root=cache_root,
+        cache_enabled=cache_enabled,
+        corpus_root=corpus_root,
+        retry_window=retry_window,
+        log=log,
+    )
     stopping = threading.Event()
 
     def handle_stop(_signum, _frame):
@@ -523,30 +609,11 @@ def run_worker(
             f"tcp://{connect.split('://')[-1]}",
             flush=True,
         )
-        for slot in range(jobs):
-            spawn(slot)
-        while procs:
-            if stopping.is_set():
-                for proc in procs.values():
-                    proc.terminate()
-                for proc in procs.values():
-                    proc.join(timeout=5)
+        fleet.start()
+        while not stopping.wait(0.1):
+            if not fleet.poll():
                 return 0
-            for slot, proc in list(procs.items()):
-                if proc.is_alive():
-                    continue
-                if proc.exitcode == 0:
-                    del procs[slot]  # clean exit: coordinator is gone
-                    continue
-                respawns += 1
-                log(
-                    f"repro-dist worker {name}/{slot}: session died "
-                    f"(exit {proc.exitcode}), respawning",
-                    flush=True,
-                )
-                time.sleep(0.2)
-                spawn(slot)
-            time.sleep(0.1)
+        fleet.stop()
         return 0
     finally:
         signal.signal(signal.SIGTERM, old_term)

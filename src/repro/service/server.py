@@ -69,7 +69,6 @@ class ServiceConfig:
     max_retries: int = 2
     timeout: Optional[float] = None
     batch: Optional[int] = None
-    recycle: int = 0
     cache_max_bytes: int = 0  # result-store budget; 0 = unbounded
     drain_timeout: float = 30.0
     max_body: int = 1 << 20
@@ -106,7 +105,6 @@ class Service:
                 timeout=self.config.timeout,
             ),
             batch=self.config.batch,
-            recycle=self.config.recycle,
             limiter=ClientLimiter(self.config.rate, self.config.burst),
             metrics=self.metrics,
             cache_max_bytes=self.config.cache_max_bytes,

@@ -1,6 +1,7 @@
 """Tests for the sweep execution engine: parallelism + persistent cache."""
 
 import json
+from math import ceil
 
 import pytest
 
@@ -134,6 +135,40 @@ def test_disk_cache_serves_across_processes_via_run_points(tmp_path):
     assert get_disk_cache().counters["result_hits"] >= 3
 
 
+def test_parallel_cold_run_counts_one_miss_per_point_and_trace(tmp_path):
+    """The cold-state guard: local sessions' disk-cache counters land in
+    the caller's cache, and no point or trace is computed twice."""
+    from repro.trace.workloads import SERVER_SUITE
+
+    names = SERVER_SUITE[:8]
+    pts = [
+        SweepPoint(config, name, 2_500, 500, 7)
+        for config in (ibtb(16), rbtb(3))
+        for name in names
+    ]
+    cache = configure_disk_cache(True, tmp_path)
+    run_points(pts, jobs=2)
+    snap = cache.snapshot()
+    assert snap["result_misses"] == len(pts)
+    assert snap["trace_misses"] == len(names)
+
+
+def test_observed_points_run_on_local_sessions(tmp_path):
+    """An observed point executed by a worker session stores its
+    artifact beside the cached result, as in-process execution does."""
+    from repro.obs import ObsSpec
+
+    cache = configure_disk_cache(True, tmp_path)
+    observed = SweepPoint(
+        ibtb(16), "web_frontend", L, W, 7, obs=ObsSpec(interval=500)
+    )
+    plain = SweepPoint(rbtb(3), "db_oltp", L, W, 7)
+    got = run_points([observed, plain], jobs=2)
+    assert got[0].stats == execute_point(observed).stats
+    payload = cache.load_obs(point_key(observed))
+    assert payload is not None and payload["instructions"] == L
+
+
 def test_corrupted_result_file_falls_back_to_recompute(tmp_path):
     cache = configure_disk_cache(True, tmp_path)
     point = SweepPoint(ibtb(16), "web_frontend", L, W, 7)
@@ -256,60 +291,68 @@ def test_run_one_uses_disk_cache_after_memory_clear(tmp_path):
     assert a.stats == b.stats and a.cycles == b.cycles
 
 
-# -- chunking edge cases -----------------------------------------------------
+# -- lease picking edge cases -----------------------------------------------
 
 
-def _flat(chunks):
-    return [pair for chunk in chunks for pair in chunk]
+def _lease_all(points, workers):
+    """Drain *points* through ``Coordinator._pick`` with *workers* idle
+    sessions asking for leases in turn, recording each session's trace
+    groups as a grant does; returns the leases in grant order."""
+    from repro.core.exec import DEFAULT_POLICY
+    from repro.core.exec.engine import _SweepState
+    from repro.dist.coordinator import Coordinator, _group, _Remote, _Run
+
+    coord = Coordinator()
+    remotes = [_Remote(f"w{i}", None, None, 0.0) for i in range(workers)]
+    coord._workers = {remote.worker_id: remote for remote in remotes}
+    run = _Run(_SweepState(points, DEFAULT_POLICY, None, False), None)
+    leases = []
+    while True:
+        remote = remotes[len(leases) % workers]
+        lease = coord._pick(run, remote, run.pending)
+        if not lease:
+            return leases
+        taken = {index for index, _ in lease}
+        run.pending = [qp for qp in run.pending if qp.index not in taken]
+        remote.groups.add(_group(lease[0][1]))
+        leases.append(lease)
 
 
-def test_chunk_points_empty_list():
-    from repro.core.exec.engine import _chunk_points
-
-    assert _chunk_points([], jobs=4) == []
-
-
-def test_chunk_points_more_jobs_than_points():
-    from repro.core.exec.engine import _chunk_points
-
-    pts = _points()[:3]
-    chunks = _chunk_points(pts, jobs=16)
-    # Every point lands in exactly one chunk, no chunk is empty.
-    assert all(chunks)
-    assert sorted(idx for idx, _ in _flat(chunks)) == [0, 1, 2]
-    assert [pts[idx] for idx, _ in _flat(chunks)] == [
-        p for _, p in _flat(chunks)
-    ]
+def _one_trace_group():
+    # Eight configs over ONE workload: a single shared-trace group.
+    return [SweepPoint(ibtb(2**i), "web_frontend", L, W, 7) for i in range(8)]
 
 
-def test_chunk_points_single_point():
-    from repro.core.exec.engine import _chunk_points
-
-    pts = _points()[:1]
-    assert _chunk_points(pts, jobs=8) == [[(0, pts[0])]]
-
-
-def test_chunk_points_single_shared_trace_group_respects_bound():
-    from repro.core.exec.engine import _chunk_points
-
-    # Eight configs over ONE workload: a single shared-trace group. With
-    # jobs=1 the bound is ceil(8/4)=2, so the group must still be split
-    # for load balancing rather than emitted as one giant chunk.
-    pts = [
-        SweepPoint(ibtb(2**i), "web_frontend", L, W, 7) for i in range(8)
-    ]
-    chunks = _chunk_points(pts, jobs=1)
-    assert [len(c) for c in chunks] == [2, 2, 2, 2]
-    assert sorted(idx for idx, _ in _flat(chunks)) == list(range(8))
-
-
-def test_chunk_points_never_mixes_trace_groups():
-    from repro.core.exec.engine import _chunk_points
-
-    pts = _points()  # 3 configs x 3 workloads, same length/seed
-    for jobs in (1, 2, 3, 8):
-        for chunk in _chunk_points(pts, jobs):
-            groups = {
-                (p.workload, p.length, p.seed) for _, p in chunk
-            }
-            assert len(groups) == 1
+@pytest.mark.parametrize(
+    "make, workers, sizes",
+    [
+        (lambda: [], 4, []),
+        (lambda: _points()[:1], 8, [1]),
+        (lambda: _points()[:3], 16, None),
+        # With one worker the bound is ceil(8/4)=2, so the group is still
+        # split for load balancing rather than leased in one piece.
+        (_one_trace_group, 1, [2, 2, 2, 2]),
+        (_points, 1, None),
+        (_points, 2, None),
+        (_points, 3, None),
+        (_points, 8, None),
+    ],
+    ids=[
+        "empty", "single-point", "more-workers-than-points",
+        "one-group-bound", "mixed-1", "mixed-2", "mixed-3", "mixed-8",
+    ],
+)
+def test_pick_leases(make, workers, sizes):
+    pts = make()
+    leases = _lease_all(pts, workers)
+    if sizes is not None:
+        assert [len(lease) for lease in leases] == sizes
+    # Every point is leased exactly once, under its own index.
+    flat = [pair for lease in leases for pair in lease]
+    assert sorted(index for index, _ in flat) == list(range(len(pts)))
+    assert all(pts[index] == point for index, point in flat)
+    bound = ceil(len(pts) / (workers * 4))
+    for lease in leases:
+        assert 0 < len(lease) <= bound
+        # Leases never mix trace groups.
+        assert len({(p.workload, p.length, p.seed) for _, p in lease}) == 1

@@ -1,11 +1,10 @@
-"""Engine integration of batch plans, worker recycling and jobs=0.
+"""Engine integration of batch plans and jobs=0.
 
 Covers the sweep-engine side of docs/compiled_kernels.md: compiled
 ``run_points`` output is bit-identical to the serial interpreter, batch
 plans round-trip through the disk cache's plans tier (with hit/miss
-counters) behind a single-entry in-process memo, worker recycling
-(``recycle=N``) respawns processes without losing results or resilience
-counters, and ``jobs=0`` auto-detects the CPU count.
+counters) behind a single-entry in-process memo, and ``jobs=0``
+auto-detects the CPU count.
 """
 
 import os
@@ -14,7 +13,6 @@ import pytest
 
 from repro.core.config import bbtb, ibtb, mbbtb, rbtb
 from repro.core.exec import (
-    RetryPolicy,
     SweepPoint,
     clear_plan_memo,
     configure_disk_cache,
@@ -131,38 +129,6 @@ def test_plan_memo_keeps_only_the_last_plan():
     clear_plan_memo()
     run_points(pts, jobs=1)
     assert len(engine._plan_memo) == 1
-
-
-# -- worker recycling ---------------------------------------------------------
-
-
-def test_recycling_respawns_workers_and_keeps_results(monkeypatch):
-    pts = _points()
-    ref = run_points(pts, jobs=1)
-    clear_cache()
-    report = run_points(pts, jobs=2, recycle=2, batch=2, strict=False)
-    assert all(o.ok for o in report.outcomes)
-    retires = [e for e in report.events if e["kind"] == "worker_retire"]
-    assert len(retires) >= 2  # 10 points / recycle=2 across 2 workers
-    assert [r.stats for r in ref] == [r.stats for r in report.results]
-
-
-def test_recycling_preserves_resilience_counters(monkeypatch):
-    """recycle=1 retires the worker after every dispatch, yet transient
-    faults are still retried and counted exactly as without recycling."""
-    monkeypatch.setenv(ENV_FAULT_SPEC, "raise:db_oltp:1")
-    pts = _points()[:4]  # ibtb(16)/ibtb(4) x web_frontend/db_oltp
-    report = run_points(
-        pts,
-        jobs=2,
-        recycle=1,
-        strict=False,
-        policy=RetryPolicy(max_retries=2, backoff=0.01),
-    )
-    assert all(o.ok for o in report.outcomes)
-    assert report.counters["exceptions"] == 2  # one per db_oltp point
-    assert report.counters["retries"] == 2
-    assert any(e["kind"] == "worker_retire" for e in report.events)
 
 
 # -- jobs auto-detection ------------------------------------------------------

@@ -9,12 +9,14 @@ points.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
 from repro.core.config import ibtb, rbtb
 from repro.core.exec import RetryPolicy, SweepPoint, run_points
 from repro.corpus import configure_corpus
+from repro.obs.export import sweep_chrome_trace
 from repro.trace.external import save_trace_csv
 from repro.trace.workloads import get_trace
 
@@ -96,6 +98,60 @@ def test_worker_sigkill_is_blamed_and_retried(
     assert report.counters.get("worker_crashes", 0) >= 1
     assert report.counters.get("retries", 0) >= 1
     assert coordinator.counters()["workers_lost"] >= 1
+
+
+def test_timeout_recovers_a_hang(coordinator, spawn_worker, tmp_path):
+    """A session hung mid-point keeps heartbeating, so only its lease's
+    silence can expose it: past ``policy.allowance()`` the coordinator
+    blames the point as a timeout, closes the session's connection and
+    retries the point elsewhere instead of waiting out the hang."""
+    spawn_worker(
+        coordinator,
+        jobs=2,
+        env={
+            "REPRO_FAULT_SPEC": "hang:db_oltp:1",
+            "REPRO_FAULT_HANG_S": "60",
+            "REPRO_FAULT_DIR": str(tmp_path / "faults"),
+        },
+    )
+    wait_workers(coordinator, 2)
+    points = _points()[:3]  # one db_oltp point: one session hangs
+
+    t0 = time.monotonic()
+    report = run_points(
+        points,
+        strict=False,
+        policy=RetryPolicy(timeout=1),
+        dispatch=f"dist://127.0.0.1:{coordinator.port}",
+    )
+
+    assert time.monotonic() - t0 < 30
+    assert not report.failures
+    assert report.results == _serial(points)
+    assert report.counters["timeouts"] >= 1
+    assert any(e["kind"] == "timeout_kill" for e in report.events)
+
+
+def test_dist_chrome_trace_draws_worker_tracks(coordinator, spawn_worker):
+    spawn_worker(coordinator, jobs=2)
+    wait_workers(coordinator, 2)
+
+    report = run_points(
+        _points(), strict=False,
+        dispatch=f"dist://127.0.0.1:{coordinator.port}",
+    )
+
+    doc = sweep_chrome_trace(report)
+    tracks = {
+        e["tid"]: e["args"]["name"]
+        for e in doc["traceEvents"]
+        if e["ph"] == "M" and e["name"] == "thread_name"
+    }
+    slices = [
+        e for e in doc["traceEvents"]
+        if e["ph"] == "X" and e["name"].startswith("chunk-")
+    ]
+    assert any(tracks[e["tid"]].startswith("worker-") for e in slices)
 
 
 def test_drop_and_disconnect_faults_converge(

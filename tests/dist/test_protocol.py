@@ -22,6 +22,7 @@ from repro.dist.protocol import (
     result_to_wire,
     send_frame,
 )
+from repro.obs.observer import ObsSpec
 
 # -- address parsing ----------------------------------------------------------
 
@@ -155,12 +156,15 @@ def test_point_wire_round_trip():
     assert point_from_wire(point_to_wire(point)) == point
 
 
-def test_point_with_obs_is_rejected():
+def test_point_with_obs_round_trips():
+    """Observed points travel to local worker sessions, which store the
+    artifact beside the cached result (``dispatch=dist://`` still
+    refuses them in ``run_points``)."""
     point = SweepPoint(
-        ibtb(16), "web_frontend", 4000, 1000, 7, obs={"capture": True}
+        ibtb(16), "web_frontend", 4000, 1000, 7,
+        obs=ObsSpec(events=False, interval=500),
     )
-    with pytest.raises(ProtocolError, match="observability"):
-        point_to_wire(point)
+    assert point_from_wire(point_to_wire(point)) == point
 
 
 def test_result_wire_round_trip_is_bit_identical():

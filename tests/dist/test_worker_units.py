@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import os
+import socket
+import threading
 
 import pytest
 
 from repro.core.exec.engine import resolve_jobs
 from repro.corpus import CorpusStore, configure_corpus
 from repro.corpus.store import CorpusError
+from repro.dist import worker as worker_module
 from repro.dist.worker import WorkerSession
 from repro.trace.external import save_trace_csv
 from repro.trace.workloads import get_trace
@@ -216,3 +219,31 @@ def test_locally_corrupted_shard_is_replaced(source_store, worker_store):
         hashlib.sha256(victim.read_bytes()).hexdigest()
         == manifest.shards[0].sha256
     )
+
+
+# -- connection handshake ---------------------------------------------------
+
+
+def test_connect_gives_up_on_a_listener_nobody_accepts(monkeypatch):
+    """A forked session inherits its coordinator's listening socket; once
+    the coordinator is gone, connecting to it still completes in the
+    kernel's backlog but no welcome ever comes. The handshake must time
+    out so the session can retry and finally exit."""
+    monkeypatch.setattr(worker_module, "CONNECT_TIMEOUT", 0.3)
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(8)  # never accept()ed
+    session = WorkerSession(f"127.0.0.1:{listener.getsockname()[1]}")
+    raised = []
+
+    def connect():
+        try:
+            session._connect()
+        except OSError as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=connect, daemon=True)
+    thread.start()
+    thread.join(5)
+    listener.close()
+    assert raised and session.sock is None
