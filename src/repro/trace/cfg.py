@@ -16,10 +16,11 @@ and footprint — those are the generator's explicit knobs (see
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.common.rng import SplitMix
+from repro.common.rng import TWO64, SplitMix
 from repro.common.types import ILEN, BranchType
 from repro.trace.behavior import (
     AlwaysTaken,
@@ -39,6 +40,10 @@ HEAP_BASE = 0x10_000000
 
 #: Base address of the stack region.
 STACK_BASE = 0x7F_000000
+
+#: Strides of hot- and warm-tier data accesses (duplicates weight a pick).
+_HOT_STRIDES = (8, 8, 16, 64)
+_WARM_STRIDES = (16, 64)
 
 
 @dataclass
@@ -225,38 +230,47 @@ class ProgramBuilder:
 
     # -- instruction bodies ---------------------------------------------------
 
-    def _pick_src(self) -> int:
-        if self._recent_dsts and self.rng.uniform() < 0.6:
-            return self.rng.choice(self._recent_dsts)
-        return self.rng.randint(0, 31)
-
     def _make_body(self, pc: int, count: int, func_index: int) -> List[StaticInst]:
+        # Reads the stream directly: ``nxt() / TWO64`` is ``uniform()``,
+        # ``lo + nxt() % n`` is ``randint(lo, lo + n - 1)`` and
+        # ``seq[nxt() % len(seq)]`` is ``choice(seq)``, drawn in exactly
+        # the order the method calls would draw them.
         spec = self.spec
+        nxt = self.rng.next_u64
+        recent = self._recent_dsts
+        p_load = spec.p_load
+        p_store = p_load + spec.p_store
+        p_mul = p_store + spec.p_mul
         insts = []
         for k in range(count):
-            roll = self.rng.uniform()
-            dst = self.rng.randint(1, 31)
-            src1 = self._pick_src()
-            src2 = self._pick_src()
+            roll = nxt() / TWO64
+            dst = 1 + nxt() % 31
+            # Two sources, each a recent destination 60% of the time.
+            if recent and nxt() / TWO64 < 0.6:
+                src1 = recent[nxt() % len(recent)]
+            else:
+                src1 = nxt() % 32
+            if recent and nxt() / TWO64 < 0.6:
+                src2 = recent[nxt() % len(recent)]
+            else:
+                src2 = nxt() % 32
             mem = None
-            if roll < spec.p_load:
+            if roll < p_load:
                 kind = "load"
                 mem = self._make_mem(func_index)
-            elif roll < spec.p_load + spec.p_store:
+            elif roll < p_store:
                 kind = "store"
                 mem = self._make_mem(func_index)
                 dst = -1
-            elif roll < spec.p_load + spec.p_store + spec.p_mul:
+            elif roll < p_mul:
                 kind = "mul"
             else:
                 kind = "alu"
             if dst >= 0:
-                self._recent_dsts.append(dst)
-                if len(self._recent_dsts) > 8:
-                    self._recent_dsts.pop(0)
-            insts.append(
-                StaticInst(pc=pc + k * ILEN, kind=kind, dst=dst, src1=src1, src2=src2, mem=mem)
-            )
+                recent.append(dst)
+                if len(recent) > 8:
+                    recent.pop(0)
+            insts.append(StaticInst(pc + k * ILEN, kind, dst, src1, src2, mem))
         return insts
 
     def _make_mem(self, func_index: int) -> MemBehavior:
@@ -264,22 +278,23 @@ class ProgramBuilder:
         shared hot heap structures (cache-resident), a warm tier, and a
         small cold/random tail that produces the DRAM-bound loads."""
         spec = self.spec
-        roll = self.rng.uniform()
+        nxt = self.rng.next_u64
+        roll = nxt() / TWO64
         if roll < 0.55:
             # Stack-frame access: tiny span, always hits.
             base = STACK_BASE + func_index * spec.stack_frame
-            return MemBehavior(base=base, stride=8, span=spec.stack_frame)
+            return MemBehavior(base, 8, spec.stack_frame)
         if roll < 0.88:
             # Hot shared structure: many static loads share few regions,
             # so lines are reused across the whole program.
-            base, span = self.rng.choice(self._hot_regions)
-            stride = self.rng.choice([8, 8, 16, 64])
-            return MemBehavior(base=base, stride=stride, span=span, p_random=0.02)
+            base, span = self._hot_regions[nxt() % len(self._hot_regions)]
+            stride = _HOT_STRIDES[nxt() % len(_HOT_STRIDES)]
+            return MemBehavior(base, stride, span, 0.02)
         if roll < 0.985:
             # Warm tier: larger shared tables, mostly L2/LLC resident.
-            base, span = self.rng.choice(self._warm_regions)
-            stride = self.rng.choice([16, 64])
-            return MemBehavior(base=base, stride=stride, span=span, p_random=0.02)
+            base, span = self._warm_regions[nxt() % len(self._warm_regions)]
+            stride = _WARM_STRIDES[nxt() % len(_WARM_STRIDES)]
+            return MemBehavior(base, stride, span, 0.02)
         # Cold tail: random pointer chases over a big span.
         return MemBehavior(
             base=HEAP_BASE + (3 << 22),
@@ -516,5 +531,17 @@ class ProgramBuilder:
 
 
 def build_program(spec: ProgramSpec) -> Program:
-    """Convenience wrapper: generate a program from *spec*."""
-    return ProgramBuilder(spec).build()
+    """Generate a program from *spec*.
+
+    A program is an acyclic graph of ~10^5 objects, so the cyclic
+    garbage collector is paused while it is built: a collection during
+    the build frees nothing, and each full one rescans every object the
+    process holds (earlier programs and traces included).
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return ProgramBuilder(spec).build()
+    finally:
+        if enabled:
+            gc.enable()

@@ -40,12 +40,12 @@ backing corpus entry disappears.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.branch.history import MAX_HISTORY
 from repro.branch.indirect import IndirectPredictor
 from repro.branch.perceptron import HISTORY_LENGTHS
 from repro.common.types import ILEN, LINE_BYTES
@@ -54,9 +54,6 @@ from repro.common.types import ILEN, LINE_BYTES
 #: semantics. Bump whenever the derivation or the prediction engine
 #: changes so stale cached plans become unreachable.
 COLUMNAR_SCHEMA = 2
-
-_M64 = (1 << 64) - 1
-_HMASK = (1 << MAX_HISTORY) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +205,44 @@ class PredictorPlan:
         return self._lists
 
 
+def folded_histories(bits: np.ndarray, lengths, width: int) -> np.ndarray:
+    """Every value of a folded-history register, for each of *lengths*.
+
+    Row ``r`` holds, after each push of ``bits[j]``, the value a
+    :class:`~repro.branch.history.FoldedRegister` of length
+    ``lengths[r]`` and width *width* holds — the closed form of its CSR
+    update::
+
+        F[j] = XOR_{i < length} bits[j - i] << (i mod width)
+
+    (bits before the first are zero). With the rotated prefix XOR
+    ``H[j] = XOR_{i <= j} bits[i] << (-i mod width)`` every row is
+    ``rotl(H[j] ^ H[j - length], j mod width)``, so the whole table costs
+    a handful of array operations whatever the lengths.
+    """
+    m = len(bits)
+    j = np.arange(m, dtype=np.int64)
+    prefix = np.bitwise_xor.accumulate(bits.astype(np.int64) << (-j % width))
+    rot = j % width
+    wmask = (1 << width) - 1
+    out = np.zeros((len(lengths), m), dtype=np.int64)
+    for r, length in enumerate(lengths):
+        if not length:
+            continue
+        win = prefix.copy()
+        win[length:] ^= prefix[:-length]
+        out[r] = ((win << rot) | (win >> (width - rot))) & wmask
+    return out
+
+
 def build_predictor_plan(col: ColumnarTrace,
                          geometry: PredictorGeometry) -> PredictorPlan:
     """Replay the prediction engine once over the trace.
 
-    This is an operation-for-operation replica of
-    ``PredictionEngine.resolve`` restricted to the state that evolves
-    independently of the BTB: perceptron tables, folded global history,
-    indirect table and RAS. Ordering subtleties preserved exactly:
+    This reproduces ``PredictionEngine.resolve`` restricted to the state
+    that evolves independently of the BTB: perceptron tables, folded
+    global history, indirect table and RAS. Ordering subtleties
+    preserved exactly:
 
     * conditional branches predict/update the perceptron *before* the
       history (and folds) advance;
@@ -223,6 +250,14 @@ def build_predictor_plan(col: ColumnarTrace,
       index is computed with the post-push fold;
     * the indirect table is read (plan value), then updated, and only
       then does an indirect call push the RAS.
+
+    The history is pushed by every branch (the taken bit for
+    conditionals, 1 otherwise) and by nothing else, so every fold and
+    PC hash is computed vectorized up front (:func:`folded_histories`).
+    The three remaining state machines share no state, so each runs as
+    its own sequential loop over just the branches it sees: the
+    perceptron over conditionals, the indirect table over indirect
+    jumps/calls, the RAS over calls and returns.
     """
     n = col.n
     pt = np.zeros(n, dtype=np.uint8)
@@ -232,107 +267,74 @@ def build_predictor_plan(col: ColumnarTrace,
     mask = geometry.ptable_mask
     theta = geometry.theta
     ind_mask = geometry.ind_mask
-    ras_depth = geometry.ras_depth
     index_width = (mask + 1).bit_length() - 1
     ind_width = (ind_mask + 1).bit_length() - 1
 
-    # Perceptron tables and folded-history registers (table 0 has zero
-    # history length: unfolded, indexed by the PC hash alone).
-    tables = [[0] * (mask + 1) for _ in HISTORY_LENGTHS]
-    # (table, fold slot, length, out_pos) for tables 1..15.
-    pgeo = []
-    for t, length in enumerate(HISTORY_LENGTHS):
-        if length:
-            pgeo.append((t, length, length % index_width))
-    pfold = [0] * len(HISTORY_LENGTHS)  # fold values, slot per table
-    jlen = IndirectPredictor.HISTORY_BITS
-    jpos = jlen % ind_width
-    jfold = 0
-    hbits = 0
-    itab = [0] * (ind_mask + 1)
-    ras: List[int] = []
-
     branch_idx = np.nonzero(col.btype)[0]
-    branches = zip(
-        branch_idx.tolist(),
-        col.btype[branch_idx].tolist(),
-        col.pc[branch_idx].tolist(),
-        col.taken[branch_idx].tolist(),
-        col.target[branch_idx].tolist(),
-    )
-    pwm = mask  # fold width mask equals table mask (same width)
-    jwm = ind_mask
+    bt = col.btype[branch_idx]
+    pc = col.pc[branch_idx]
+    target = col.target[branch_idx]
+    is_cond = bt == 1
+    bits = np.where(is_cond, col.taken[branch_idx] != 0, 1)
+    h = (np.uint64(0x9E3779B97F4A7C15) ^ pc.astype(np.uint64)) \
+        * np.uint64(0xBF58476D1CE4E5B9)
+    h = (h ^ (h >> np.uint64(29))).astype(np.int64)
 
-    for j, bt, pc, tk, tg in branches:
-        h = ((0x9E3779B97F4A7C15 ^ pc) * 0xBF58476D1CE4E5B9) & _M64
-        h ^= h >> 29
-        if bt == 1:
-            # predict: table 0 unfolded, 1..15 folded.
-            i0 = h & mask
-            total = tables[0][i0]
-            idxs = [i0]
-            for t, _length, _pos in pgeo:
-                ix = (h ^ pfold[t] ^ (t << 3)) & mask
-                idxs.append(ix)
-                total += tables[t][ix]
-            pt[j] = 1 if total >= 0 else 0
-            # update (classic margin rule, clamped 8-bit weights).
-            predicted = total >= 0
-            took = tk == 1
-            if not (predicted == took and abs(total) > theta):
-                delta = 1 if took else -1
-                t = 0
-                for ix in idxs:
-                    row = tables[t]
-                    w = row[ix] + delta
-                    if w > 127:
-                        w = 127
-                    elif w < -128:
-                        w = -128
-                    row[ix] = w
-                    t += 1
-            # history push AFTER perceptron work for conditionals...
-            bit = tk
-            for t, length, pos in pgeo:
-                v = (pfold[t] << 1) | bit
-                v ^= ((hbits >> (length - 1)) & 1) << pos
-                v ^= v >> index_width
-                pfold[t] = v & pwm
-            v = (jfold << 1) | bit
-            v ^= ((hbits >> (jlen - 1)) & 1) << jpos
-            v ^= v >> ind_width
-            jfold = v & jwm
-            hbits = ((hbits << 1) | bit) & _HMASK
-            continue
-        # ...and BEFORE the type-specific work for every other kind, so
-        # the indirect index sees the post-push fold.
-        for t, length, pos in pgeo:
-            v = (pfold[t] << 1) | 1
-            v ^= ((hbits >> (length - 1)) & 1) << pos
-            v ^= v >> index_width
-            pfold[t] = v & pwm
-        v = (jfold << 1) | 1
-        v ^= ((hbits >> (jlen - 1)) & 1) << jpos
-        v ^= v >> ind_width
-        jfold = v & jwm
-        hbits = ((hbits << 1) | 1) & _HMASK
-        if bt == 2 or bt == 3:
-            if bt == 3:
-                if len(ras) >= ras_depth:
-                    del ras[0]
-                ras.append(pc + ILEN)
-        elif bt == 4:
-            if ras:
-                ras_ok[j] = 1 if ras.pop() == tg else 0
-            # empty RAS pops None in the reference engine: never equal.
+    # Perceptron: conditionals read the pre-push folds F[j - 1] (table 0
+    # has zero history length: indexed by the PC hash alone). Indices
+    # are flat into one weight list holding the 16 tables back to back.
+    folds = folded_histories(bits, HISTORY_LENGTHS, index_width)
+    pre = np.zeros_like(folds)
+    pre[:, 1:] = folds[:, :-1]
+    cond = np.nonzero(is_cond)[0]
+    salt = np.arange(len(HISTORY_LENGTHS), dtype=np.int64)
+    rows = ((h[cond, None] ^ pre[:, cond].T ^ (salt << 3)) & mask) \
+        + salt * (mask + 1)
+    weights = [0] * (len(HISTORY_LENGTHS) * (mask + 1))
+    weight = weights.__getitem__
+    preds = []
+    predict = preds.append
+    for row, took in zip(rows.tolist(), bits[cond].tolist()):
+        total = sum(map(weight, row))
+        predicted = total >= 0
+        predict(predicted)
+        # Classic margin rule on 8-bit weights; a step past the clamp
+        # leaves the weight where it is.
+        if predicted != took or -theta <= total <= theta:
+            delta = 1 if took else -1
+            for ix in row:
+                w = weights[ix] + delta
+                if -128 <= w <= 127:
+                    weights[ix] = w
+    pt[branch_idx[cond]] = preds
+
+    # Indirect table: read with the post-push fold F[j], then updated.
+    ind = np.nonzero((bt == 5) | (bt == 6))[0]
+    jfold = folded_histories(bits, (IndirectPredictor.HISTORY_BITS,),
+                             ind_width)[0]
+    itab = [0] * (ind_mask + 1)
+    reads = []
+    read = reads.append
+    for ii, tg in zip(((h[ind] ^ jfold[ind]) & ind_mask).tolist(),
+                      target[ind].tolist()):
+        read(itab[ii])
+        itab[ii] = tg
+    ind_pred[branch_idx[ind]] = reads
+
+    # RAS: calls push their fall-through, returns pop; a full stack
+    # drops its oldest entry and an empty one never matches.
+    stack = np.nonzero((bt == 3) | (bt == 4) | (bt == 6))[0]
+    ras: Deque[int] = deque(maxlen=geometry.ras_depth)
+    push = ras.append
+    pops = []
+    for kind, link, tg in zip(bt[stack].tolist(),
+                              (pc[stack] + ILEN).tolist(),
+                              target[stack].tolist()):
+        if kind == 4:
+            pops.append(1 if ras and ras.pop() == tg else 0)
         else:
-            ii = (h ^ jfold) & ind_mask
-            ind_pred[j] = itab[ii]
-            itab[ii] = tg
-            if bt == 6:
-                if len(ras) >= ras_depth:
-                    del ras[0]
-                ras.append(pc + ILEN)
+            push(link)
+    ras_ok[branch_idx[stack[bt[stack] == 4]]] = pops
 
     return PredictorPlan(geometry=geometry, pt=pt, ras_ok=ras_ok,
                          ind_pred=ind_pred)

@@ -1,8 +1,113 @@
 """Unit tests for the deterministic RNG."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.common.rng import SplitMix, mix_hash
+from repro.common.rng import BLOCK, MASK64, SplitMix, mix_hash
+
+
+class ScalarSplitMix:
+    """Reference: the scalar SplitMix64 recurrence, one output per call,
+    with the helper methods' documented semantics on top."""
+
+    def __init__(self, seed):
+        self.state = seed & MASK64
+        self.draws = 0
+
+    def next_u64(self):
+        self.draws += 1
+        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+    def uniform(self):
+        return self.next_u64() / float(1 << 64)
+
+    def randint(self, lo, hi):
+        return lo + self.next_u64() % (hi - lo + 1)
+
+    def choice(self, seq):
+        return seq[self.next_u64() % len(seq)]
+
+    def geometric(self, mean):
+        p = 1.0 / mean
+        count = 1
+        while self.uniform() > p:
+            count += 1
+            if count > 64 * mean:
+                break
+        return count
+
+    def split(self):
+        return ScalarSplitMix(self.next_u64() ^ 0xA5A5A5A5DEADBEEF)
+
+
+def test_known_answers():
+    # The published SplitMix64 outputs for seed 0, and the seed whose
+    # first state wraps past 2**64.
+    zero = SplitMix(0)
+    assert [zero.next_u64() for _ in range(3)] == [
+        16294208416658607535, 7960286522194355700, 487617019471545679]
+    top = SplitMix(2 ** 64 - 1)
+    assert [top.next_u64() for _ in range(3)] == [
+        16490336266968443936, 16834447057089888969, 4048727598324417001]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5])
+def test_stream_matches_scalar_recurrence(seed):
+    rng, ref = SplitMix(seed), ScalarSplitMix(seed)
+    n = 2 * BLOCK + 3
+    assert [rng.next_u64() for _ in range(n)] == [ref.next_u64() for _ in range(n)]
+
+
+_OPS = st.one_of(
+    st.just(("next_u64",)),
+    st.just(("uniform",)),
+    st.tuples(st.just("randint"), st.integers(-50, 50), st.integers(0, 2 ** 40)),
+    st.tuples(st.just("choice"), st.integers(1, 9)),
+    st.tuples(st.just("geometric"), st.floats(1.0, 20.0)),
+    st.just(("split",)),
+)
+
+
+def _apply(rng, op):
+    name = op[0]
+    if name == "randint":
+        return rng.randint(op[1], op[1] + op[2])
+    if name == "choice":
+        return rng.choice(list(range(op[1])))
+    if name == "geometric":
+        return rng.geometric(op[1])
+    if name == "split":
+        child = rng.split()
+        return [child.next_u64() for _ in range(3)]
+    return getattr(rng, name)()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 64 - 1),
+    skip=st.integers(0, BLOCK - 1),
+    gap=st.integers(256, 1024),
+    ops=st.lists(_OPS, min_size=1, max_size=12),
+)
+def test_any_interleaving_matches_reference(seed, skip, gap, ops):
+    """Every helper draws from the one stream in the scalar order, across
+    at least two block boundaries at any alignment. Rounds of *ops* are
+    separated by *gap* raw draws so a round of splits stays cheap."""
+    rng, ref = SplitMix(seed), ScalarSplitMix(seed)
+    for _ in range(skip):
+        rng.next_u64()
+        ref.next_u64()
+    while ref.draws < skip + 2 * BLOCK + 1:
+        for op in ops:
+            assert _apply(rng, op) == _apply(ref, op)
+        assert [rng.next_u64() for _ in range(gap)] == [
+            ref.next_u64() for _ in range(gap)]
+    assert rng.next_u64() == ref.next_u64()
 
 
 def test_same_seed_same_stream():

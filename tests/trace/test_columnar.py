@@ -13,8 +13,14 @@ the live :class:`PredictionEngine` decision-for-decision.
 import gzip
 import lzma
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.branch.history import FoldedRegister
+from repro.branch.indirect import IndirectPredictor
+from repro.branch.perceptron import HISTORY_LENGTHS
 from repro.common.types import ILEN, BranchType
 from repro.corpus import configure_corpus, load_corpus_trace
 from repro.frontend.engine import PredictionEngine
@@ -22,6 +28,7 @@ from repro.trace.columnar import (
     BatchPlan,
     build_batch_plan,
     build_predictor_plan,
+    folded_histories,
     geometry_for,
     lower_trace,
 )
@@ -219,14 +226,90 @@ def _reference_plan_values(trace, bp_size_kb):
     return pt, ras_ok, ind_pred
 
 
-@pytest.mark.parametrize("name,size", [("web_frontend", 64), ("db_oltp", 2)])
-def test_predictor_plan_matches_live_engine(name, size):
-    trace = get_trace(name, 8_000)
+def _assert_plan_matches_live_engine(trace, size):
     plan = build_predictor_plan(lower_trace(trace), geometry_for(size))
     pt, ras_ok, ind_pred = _reference_plan_values(trace, size)
     assert plan.pt.tolist() == pt
     assert plan.ras_ok.tolist() == ras_ok
     assert plan.ind_pred.tolist() == ind_pred
+
+
+# Every predictor size the figures use (2..64 KB); each has its own
+# perceptron index width, hence its own fold width.
+@pytest.mark.parametrize("name,size", [
+    ("web_frontend", 64), ("db_oltp", 2), ("kv_store", 4),
+    ("http_proxy", 8), ("gc_runtime", 16), ("ad_server", 32),
+])
+def test_predictor_plan_matches_live_engine(name, size):
+    _assert_plan_matches_live_engine(get_trace(name, 8_000), size)
+
+
+def _indirect_only_trace():
+    """Indirect calls, indirect jumps and returns only (no conditional
+    ever pushes a real taken bit). Each round nests 72 calls, past the
+    RAS depth of 64, then returns 70 times, so the returns drain the
+    stack past what it could keep; every third return goes somewhere no
+    call linked."""
+    trace = Trace(name="indirect_only")
+    links = []
+    pc = 0x4000
+    for k in range(320):
+        depth = k % 160
+        if depth < 90:
+            kind = BranchType.CALL_INDIRECT if k % 5 else BranchType.INDIRECT
+            trace.append(pc=pc, btype=kind, taken=True,
+                         target=0x8000 + 0x40 * (k % 7))
+            if kind == BranchType.CALL_INDIRECT:
+                links.append(pc + ILEN)
+        else:
+            link = links.pop() if links else 0x10
+            trace.append(pc=pc, btype=BranchType.RETURN, taken=True,
+                         target=link if k % 3 else 0x10)
+        pc = 0x4000 + ILEN * ((k * 37) % 23)
+    return trace
+
+
+def _short_trace():
+    """A real trace cut to fewer branches than the longest history."""
+    trace = get_trace("db_oltp", 2_000)
+    branches = [i for i, bt in enumerate(trace.btype) if bt]
+    assert len(branches) > max(HISTORY_LENGTHS)
+    return trace.slice(0, branches[max(HISTORY_LENGTHS) - 60])
+
+
+@pytest.mark.parametrize("size", [2, 64])
+@pytest.mark.parametrize("make", [Trace, _short_trace, _indirect_only_trace],
+                         ids=["empty", "short", "indirect_only"])
+def test_predictor_plan_edge_traces(make, size):
+    _assert_plan_matches_live_engine(make(), size)
+
+
+#: Every (length, width) pair the plan folds: perceptron tables at each
+#: size's index width, and the indirect predictor's history.
+_FOLD_PAIRS = sorted(
+    {(length, (geometry_for(kb).ptable_mask + 1).bit_length() - 1)
+     for kb in (2, 4, 8, 16, 32, 64) for length in HISTORY_LENGTHS if length}
+    | {(IndirectPredictor.HISTORY_BITS,
+        (geometry_for(64).ind_mask + 1).bit_length() - 1)}
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=400))
+def test_folded_histories_match_folded_register(bits):
+    """The closed form equals the incremental CSR update after every push."""
+    arr = np.asarray(bits, dtype=np.int64)
+    for length, width in _FOLD_PAIRS:
+        reg = FoldedRegister(length, width)
+        history = 0
+        want = []
+        for bit in bits:
+            reg.push(bit, (history >> (length - 1)) & 1)
+            history = (history << 1) | bit
+            want.append(reg.value)
+        got = folded_histories(arr, (0, length), width)
+        assert got[0].tolist() == [0] * len(bits)
+        assert got[1].tolist() == want, (length, width)
 
 
 def test_batch_plan_payload_roundtrip():
